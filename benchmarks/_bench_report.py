@@ -2,9 +2,11 @@
 
 Every scale benchmark emits a ``BENCH_<name>.json`` file (timings, speedup
 ratios, peak memory) so the perf trajectory can be tracked across PRs by
-diffing artifacts instead of scraping assertion messages.  Reports land next
-to this file by default; set ``BENCH_REPORT_DIR`` to redirect them (CI
-uploads them as artifacts).
+diffing artifacts instead of scraping assertion messages.  Reports land in
+the git-ignored ``benchmarks/reports/`` by default, so a test run never
+rewrites the committed reports; set ``BENCH_REPORT_DIR`` to redirect them
+(CI uploads them as artifacts).  Refreshing the committed reports is an
+explicit step: run the benchmarks with ``BENCH_REPORT_DIR=benchmarks``.
 
 ``BENCH_SMOKE=1`` switches the benchmarks to reduced scale with relaxed
 speedup floors: small enough for a per-PR CI job, still asserting the same
@@ -70,7 +72,8 @@ def emit_report(name: str, payload: dict) -> Path:
         "cpu_count": os.cpu_count(),
         **payload,
     }
-    out_dir = Path(os.environ.get("BENCH_REPORT_DIR", Path(__file__).parent))
+    out_dir = Path(os.environ.get("BENCH_REPORT_DIR",
+                                  Path(__file__).parent / "reports"))
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"BENCH_{name}.json"
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

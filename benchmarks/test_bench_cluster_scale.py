@@ -280,7 +280,10 @@ def test_bench_parallel_capacity_search_1_5x_sequential():
         == sequential.per_shard_pool_capacity_gb
     assert parallel.rejection_budget == sequential.rejection_budget
 
-    emit_report("capacity_search_parallel", {
+    # The report records the floor only where it is enforced, so a host
+    # too small to assert it never leaves a report that fails its own floor.
+    enforced = not smoke_mode() and (os.cpu_count() or 1) >= 4
+    report = {
         "n_vms": total_vms,
         "n_shards": CAP_N_SHARDS,
         "workers": workers,
@@ -288,10 +291,12 @@ def test_bench_parallel_capacity_search_1_5x_sequential():
         "sequential_seconds": sequential_s,
         "parallel_seconds": parallel_s,
         "speedup": speedup,
-        "speedup_floor": MIN_PARALLEL_SPEEDUP,
         "savings_percent": parallel.savings.savings_percent,
-    })
-    if smoke_mode() or (os.cpu_count() or 1) < 4:
+    }
+    if enforced:
+        report["speedup_floor"] = MIN_PARALLEL_SPEEDUP
+    emit_report("capacity_search_parallel", report)
+    if not enforced:
         pytest.skip(
             f"parallel == sequential verified; speedup floor needs >= 4 CPUs "
             f"at full scale (measured {speedup:.2f}x with {workers} workers)"

@@ -17,7 +17,9 @@ replays a >=1,000,000-VM fleet (8 shards) both ways and asserts that
 both measured phases run in-process and serially so the peaks are comparable.
 """
 
+import cProfile
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -62,12 +64,37 @@ def traced_peak_mb(fn):
     return result, peak / (1024.0 * 1024.0)
 
 
+def warm_up_under_profiler(base, fleet_kwargs, factory):
+    """Generate and stream-replay a tiny fleet once with a profiler enabled.
+
+    tracemalloc records the line number of every allocation.  CPython 3.11
+    finds it by scanning the allocating function's line table from the top,
+    unless the code object caches a line array, which the interpreter builds
+    the first time a profiler sees the function.  The streamed replay's hot
+    loop is one long function, so without that cache the traced phases
+    below spend almost all their time in the scan (minutes instead of
+    seconds).  The warm-up runs before any tracing starts, so none of its
+    allocations are counted; on other Python versions it only costs the
+    tiny replay.
+    """
+    tiny = replace(base, n_servers=4, duration_days=0.05)
+
+    def tiny_runs():
+        FleetSimulator.sharded(1, tiny, **fleet_kwargs).generate_traces()
+        FleetSimulator.sharded(
+            1, tiny, stream_chunk_size=64, **fleet_kwargs
+        ).run(factory, compute_baseline=False)
+
+    cProfile.Profile().runcall(tiny_runs)
+
+
 def test_bench_streamed_fleet_replay_bounds_memory():
     base = fleet_base_config()
     fleet_kwargs = dict(
         pool_size_sockets=16, constrain_memory=False, sample_interval_s=3600.0
     )
     factory = pond_policy_factory(OPERATING_POINT, seed=3)
+    warm_up_under_profiler(base, fleet_kwargs, factory)
 
     # Materialised path, phase 1 (traced): generate and hold every shard
     # trace -- the O(trace) allocation streaming exists to avoid.

@@ -22,7 +22,7 @@ test time.  Four layers:
 * :mod:`repro.analysis.contracts` -- the event-ordering contract checker:
   verifies the documented replay ordering (departures -> faults -> sample ->
   QoS tick -> evacuation retries; DESIGN.md sections 10-12) against the
-  actual call sequences in ``simulator.py`` and ``pool_topology.py``.
+  heap priority table and the pump of ``pool_topology.py``'s events loop.
 * :mod:`repro.analysis.sanitizer` -- the opt-in runtime sanitizer
   (``REPRO_SANITIZE=1``): invariant-asserting wrappers on
   ``PoolGroupLedger`` / ``ArrayPlacementEngine`` mutators (no negative pool

@@ -1,32 +1,33 @@
 """Event-ordering contract checker for the replay loops.
 
 DESIGN.md sections 10-12 promise one tie-breaking contract at equal
-timestamps, in both the single-cluster online loop and the cross-shard
-merged pump:
+timestamps:
 
     departures -> fault events -> grid sample -> QoS tick -> evacuation
     retries
 
-Differential tests pin the *outputs* of that ordering, but the ordering
-itself lives in two hand-scheduled loops (``simulator._run_array_online``'s
-``advance_to`` and ``pool_topology._replay_crossshard_events``'s ``pump``)
-that are exactly the code perf PRs keep rewriting.  This checker reads the
-loops' ASTs and verifies the documented dispatch order directly, so the
-docs cannot silently rot:
+Every online or faulted replay -- a single cluster replays as a one-shard
+fleet -- runs through ``pool_topology._replay_crossshard_events``, so the
+contract is stated once: the module's ``_KIND_*`` heap priority table and
+the kind dispatch in that loop's ``pump``.  Differential tests pin the
+*outputs* of that ordering; this checker reads the table and the pump's
+AST and verifies the documented order directly, so the docs cannot
+silently rot:
 
 ========  ==========================================================
-``ORD001``  contract anchor missing (function/loop/dispatch not found) --
+``ORD001``  contract anchor missing (table/function/dispatch not found) --
             the checker fails loudly rather than vacuously passing
-``ORD002``  departures must win ties against samples *and* faults
-            (``<=`` comparisons, departure branch first)
-``ORD003``  fault events must win ties against samples
+``ORD002``  departures must win ties against faults *and* samples
+            (lower ``_KIND_DEPARTURE``; the departure arm releases the VM)
+``ORD003``  fault events must win ties against samples (lower
+            ``_KIND_FAULT``; the fault arm fires the scheduled event)
 ``ORD004``  sample arm must run take_sample -> QoS tick -> retry tick,
             in that order
 ``ORD005``  heap kind priorities must order departure < fault < sample <
             horizon < arrival
 ``ORD006``  pump dispatch must test departure, then fault, then sample
-``ORD007``  pump sample arm must run take_sample -> reschedule -> QoS
-            tick -> retry tick
+``ORD007``  pump sample arm must reschedule the next grid sample after
+            take_sample and before the QoS tick
 ========  ==========================================================
 """
 
@@ -38,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.findings import Finding
 
-__all__ = ["ORDER_RULES", "check_contracts", "check_simulator", "check_pump"]
+__all__ = ["ORDER_RULES", "check_contracts", "check_pump"]
 
 ORDER_RULES: Dict[str, Tuple[str, str]] = {
     "ORD001": (
@@ -50,14 +51,14 @@ ORDER_RULES: Dict[str, Tuple[str, str]] = {
     "ORD002": (
         "departure events must win ties",
         "at equal timestamps departures release capacity before faults "
-        "fire and samples read state: keep 'departure_time <= "
-        "next_sample_time and departure_time <= fault_time' as the first "
-        "branch",
+        "fire and samples read state: keep _KIND_DEPARTURE below "
+        "_KIND_FAULT and _KIND_SAMPLE, and let the departure arm release "
+        "the VM",
     ),
     "ORD003": (
         "fault events must precede the sample at equal timestamps",
-        "samples must observe post-fault state: keep 'fault_time <= "
-        "next_sample_time' ahead of the sample arm",
+        "samples must observe post-fault state: keep _KIND_FAULT below "
+        "_KIND_SAMPLE, and let the fault arm fire the scheduled event",
     ),
     "ORD004": (
         "sample arm order take_sample -> qos_tick -> retry_tick",
@@ -77,11 +78,9 @@ ORDER_RULES: Dict[str, Tuple[str, str]] = {
         "readers can audit the contract in one place",
     ),
     "ORD007": (
-        "pump sample arm order take_sample -> reschedule -> qos_tick -> "
-        "retry_tick",
+        "pump sample arm must reschedule before the qos_tick",
         "the next grid sample must be rescheduled from the sampled time "
-        "before mitigation mutates state; QoS tick precedes the "
-        "evacuation-retry tick",
+        "(heappush after take_sample) before mitigation mutates state",
     ),
 }
 
@@ -153,103 +152,13 @@ def _anchor_missing(path: str, line: int, what: str) -> Finding:
     )
 
 
-# -- single-cluster online loop ----------------------------------------------------
+# -- the kind table and the pump ----------------------------------------------------
 
 
-def check_simulator(path) -> List[Finding]:
-    """Verify ``advance_to``'s tie-breaking in ``_run_array_online``."""
-    path = Path(path)
-    posix = path.as_posix()
-    tree = ast.parse(path.read_text(), filename=str(path))
-    findings: List[Finding] = []
-
-    outer = _find_function(tree, "_run_array_online")
-    if outer is None:
-        return [_anchor_missing(posix, 1, "function _run_array_online")]
-    advance = _find_function(outer, "advance_to")
-    if advance is None:
-        return [_anchor_missing(posix, outer.lineno,
-                                "inner function advance_to")]
-    loop = _find_while(advance)
-    if loop is None:
-        return [_anchor_missing(posix, advance.lineno,
-                                "while loop in advance_to")]
-    dispatch = next((s for s in loop.body if isinstance(s, ast.If)), None)
-    if dispatch is None:
-        return [_anchor_missing(posix, loop.lineno,
-                                "if/elif/else dispatch in advance_to")]
-
-    # Arm 1: departures win ties against both samples and faults (ORD002).
-    compares = _compare_names(dispatch.test)
-    departure_first = (
-        ("departure_time", "LtE", "next_sample_time") in compares
-        and ("departure_time", "LtE", "fault_time") in compares
-        and _calls_in_order(_ordered_calls(dispatch.body),
-                            ["process_one_departure"])
-    )
-    if not departure_first:
-        findings.append(Finding(
-            rule="ORD002", path=posix, line=dispatch.lineno,
-            message="first advance_to branch does not give departures the "
-                    "tie against samples and faults",
-            hint=ORDER_RULES["ORD002"][1],
-            snippet=ast.unparse(dispatch.test),
-        ))
-
-    # Arm 2: faults beat the sample at equal timestamps (ORD003).
-    arm2 = dispatch.orelse
-    sample_arm: Sequence[ast.stmt] = []
-    if len(arm2) == 1 and isinstance(arm2[0], ast.If):
-        inner = arm2[0]
-        fault_ok = (
-            ("fault_time", "LtE", "next_sample_time")
-            in _compare_names(inner.test)
-            and _calls_in_order(_ordered_calls(inner.body), ["fire_next"])
-        )
-        if not fault_ok:
-            findings.append(Finding(
-                rule="ORD003", path=posix, line=inner.lineno,
-                message="fault branch does not win the tie against the "
-                        "sample arm",
-                hint=ORDER_RULES["ORD003"][1],
-                snippet=ast.unparse(inner.test),
-            ))
-        sample_arm = inner.orelse
-    else:
-        findings.append(Finding(
-            rule="ORD003", path=posix, line=dispatch.lineno,
-            message="advance_to has no fault branch between departures "
-                    "and the sample arm",
-            hint=ORDER_RULES["ORD003"][1], snippet="",
-        ))
-
-    # Sample arm: take_sample -> qos_tick -> retry_tick (ORD004).
-    calls = _ordered_calls(sample_arm)
-    if not _calls_in_order(calls, ["take_sample", "qos_tick", "retry_tick"]):
-        findings.append(Finding(
-            rule="ORD004", path=posix,
-            line=sample_arm[0].lineno if sample_arm else dispatch.lineno,
-            message="sample arm does not run take_sample, qos_tick, "
-                    "retry_tick in contract order",
-            hint=ORDER_RULES["ORD004"][1],
-            snippet=" -> ".join(name for name, _ in calls),
-        ))
-    return findings
-
-
-# -- cross-shard merged pump -------------------------------------------------------
-
-
-def check_pump(path) -> List[Finding]:
-    """Verify heap priorities and dispatch order in the cross-shard pump."""
-    path = Path(path)
-    posix = path.as_posix()
-    tree = ast.parse(path.read_text(), filename=str(path))
-    findings: List[Finding] = []
-
-    # ORD005: module-level kind priorities encode the contract.
+def _check_kind_table(posix: str, tree: ast.Module) -> List[Finding]:
+    """ORD002, ORD003 and ORD005 on the module's ``_KIND_*`` table."""
     kinds: Dict[str, int] = {}
-    kind_lines: Dict[str, int] = {}
+    lines: Dict[str, int] = {}
     for node in tree.body:
         if (isinstance(node, ast.Assign) and len(node.targets) == 1
                 and isinstance(node.targets[0], ast.Name)
@@ -257,22 +166,47 @@ def check_pump(path) -> List[Finding]:
                 and isinstance(node.value, ast.Constant)
                 and isinstance(node.value.value, int)):
             kinds[node.targets[0].id] = node.value.value
-            kind_lines[node.targets[0].id] = node.lineno
+            lines[node.targets[0].id] = node.lineno
     missing = [name for name in _KIND_ORDER if name not in kinds]
     if missing:
-        findings.append(_anchor_missing(
-            posix, 1, f"heap kind constants {', '.join(missing)}"))
-    else:
-        values = [kinds[name] for name in _KIND_ORDER]
-        if values != sorted(values) or len(set(values)) != len(values):
-            findings.append(Finding(
-                rule="ORD005", path=posix,
-                line=kind_lines[_KIND_ORDER[0]],
-                message="heap kind priorities do not strictly order "
-                        "departure < fault < sample < horizon < arrival",
-                hint=ORDER_RULES["ORD005"][1],
-                snippet=", ".join(f"{k}={kinds[k]}" for k in _KIND_ORDER),
-            ))
+        return [_anchor_missing(
+            posix, 1, f"heap kind constants {', '.join(missing)}")]
+    snippet = ", ".join(f"{k}={kinds[k]}" for k in _KIND_ORDER)
+    findings: List[Finding] = []
+    departure = kinds["_KIND_DEPARTURE"]
+    fault = kinds["_KIND_FAULT"]
+    sample = kinds["_KIND_SAMPLE"]
+    if not (departure < fault and departure < sample):
+        findings.append(Finding(
+            rule="ORD002", path=posix, line=lines["_KIND_DEPARTURE"],
+            message="departures do not outrank faults and samples at equal "
+                    "timestamps",
+            hint=ORDER_RULES["ORD002"][1], snippet=snippet,
+        ))
+    if not fault < sample:
+        findings.append(Finding(
+            rule="ORD003", path=posix, line=lines["_KIND_FAULT"],
+            message="fault events do not outrank the sample at equal "
+                    "timestamps",
+            hint=ORDER_RULES["ORD003"][1], snippet=snippet,
+        ))
+    values = [kinds[name] for name in _KIND_ORDER]
+    if values != sorted(values) or len(set(values)) != len(values):
+        findings.append(Finding(
+            rule="ORD005", path=posix, line=lines[_KIND_ORDER[0]],
+            message="heap kind priorities do not strictly order "
+                    "departure < fault < sample < horizon < arrival",
+            hint=ORDER_RULES["ORD005"][1], snippet=snippet,
+        ))
+    return findings
+
+
+def check_pump(path) -> List[Finding]:
+    """Verify the kind table and the events loop's pump dispatch order."""
+    path = Path(path)
+    posix = path.as_posix()
+    tree = ast.parse(path.read_text(), filename=str(path))
+    findings = _check_kind_table(posix, tree)
 
     outer = _find_function(tree, "_replay_crossshard_events")
     if outer is None:
@@ -320,34 +254,50 @@ def check_pump(path) -> List[Finding]:
         ))
         return findings
 
-    by_kind = {kind: body for kind, body, _line in arms if kind is not None}
-    if not _calls_in_order(_ordered_calls(by_kind["_KIND_FAULT"]),
-                           ["fire_next"]):
+    by_kind = {kind: (body, line) for kind, body, line in arms
+               if kind is not None}
+    body, line = by_kind["_KIND_DEPARTURE"]
+    if not any(name in ("on_departure", "remove")
+               for name, _ in _ordered_calls(body)):
         findings.append(Finding(
-            rule="ORD006", path=posix, line=dispatch.lineno,
-            message="pump fault arm does not fire the scheduled event",
-            hint=ORDER_RULES["ORD006"][1], snippet="",
+            rule="ORD002", path=posix, line=line,
+            message="pump departure arm does not release the VM",
+            hint=ORDER_RULES["ORD002"][1], snippet="",
         ))
-    sample_calls = _ordered_calls(by_kind["_KIND_SAMPLE"])
-    if not _calls_in_order(sample_calls,
-                           ["take_sample", "heappush", "qos_tick",
-                            "retry_tick"]):
+    body, line = by_kind["_KIND_FAULT"]
+    if not _calls_in_order(_ordered_calls(body), ["fire_next"]):
         findings.append(Finding(
-            rule="ORD007", path=posix, line=dispatch.lineno,
-            message="pump sample arm does not run take_sample, reschedule, "
-                    "qos_tick, retry_tick in contract order",
-            hint=ORDER_RULES["ORD007"][1],
-            snippet=" -> ".join(name for name, _ in sample_calls),
+            rule="ORD003", path=posix, line=line,
+            message="pump fault arm does not fire the scheduled event",
+            hint=ORDER_RULES["ORD003"][1], snippet="",
+        ))
+    body, line = by_kind["_KIND_SAMPLE"]
+    sample_calls = _ordered_calls(body)
+    chain = " -> ".join(name for name, _ in sample_calls)
+    if not _calls_in_order(sample_calls,
+                           ["take_sample", "qos_tick", "retry_tick"]):
+        findings.append(Finding(
+            rule="ORD004", path=posix, line=line,
+            message="pump sample arm does not run take_sample, qos_tick, "
+                    "retry_tick in contract order",
+            hint=ORDER_RULES["ORD004"][1], snippet=chain,
+        ))
+    names = [name for name, _ in sample_calls]
+    if not (_calls_in_order(sample_calls, ["take_sample", "heappush"])
+            and ("qos_tick" not in names
+                 or names.index("heappush") < names.index("qos_tick"))):
+        findings.append(Finding(
+            rule="ORD007", path=posix, line=line,
+            message="pump sample arm does not reschedule the next grid "
+                    "sample between take_sample and qos_tick",
+            hint=ORDER_RULES["ORD007"][1], snippet=chain,
         ))
     return findings
 
 
-def check_contracts(simulator_path=None, pool_topology_path=None
-                    ) -> List[Finding]:
-    """Check both replay loops; default paths resolve inside the package."""
-    cluster = Path(__file__).resolve().parents[1] / "cluster"
-    if simulator_path is None:
-        simulator_path = cluster / "simulator.py"
+def check_contracts(pool_topology_path=None) -> List[Finding]:
+    """Check the events loop; the default path resolves inside the package."""
     if pool_topology_path is None:
-        pool_topology_path = cluster / "pool_topology.py"
-    return check_simulator(simulator_path) + check_pump(pool_topology_path)
+        pool_topology_path = (Path(__file__).resolve().parents[1]
+                              / "cluster" / "pool_topology.py")
+    return check_pump(pool_topology_path)

@@ -941,6 +941,11 @@ class FleetSimulator:
                 "engine='object' / scheduler_strategy='linear' are not "
                 "supported with pool_topology"
             )
+        if not topology.n_groups:
+            raise ValueError(
+                "a fleet pool_topology needs pool groups; an unpooled fleet "
+                "uses pool_size_sockets=0 without a topology"
+            )
         sizes = tuple(cfg.n_servers for cfg in shard_configs)
         if topology.shard_sizes != sizes:
             raise ValueError(

@@ -26,12 +26,14 @@ single-cluster simulator:
   shards contending for one group contend at simulation time, not
   shard-serially.
 
-Ordering contract (mirrors ``ClusterSimulator``'s merged loop): at equal
-timestamps the order is departures, then samples, then arrivals, with
-deterministic shard-index tie-breaks; per shard, the relative event order is
-exactly the single-cluster simulator's, which is why the degenerate
-per-shard topology reproduces ``FleetSimulator``'s classic results
-byte-for-byte (enforced by ``tests/test_pool_topology.py``).
+Ordering contract (the ``_KIND_*`` table below): at equal timestamps the
+order is departures, then fault events, then samples, then horizons, then
+arrivals, with deterministic shard-index tie-breaks.  Per shard the
+relative event order is independent of the other shards, so a single
+cluster is just a one-shard fleet: ``ClusterSimulator.run`` replays
+through these loops, and the degenerate per-shard topology reproduces
+``FleetSimulator``'s classic results byte-for-byte (enforced by
+``tests/test_pool_topology.py``).
 """
 
 from __future__ import annotations
@@ -70,8 +72,11 @@ class PoolTopology:
     ``group_of[shard][server]`` is the fleet-level pool group id serving that
     server.  Group ids are contiguous (``0 .. n_groups - 1``) and every
     server belongs to exactly one group -- the topology describes a fully
-    pooled fleet (use ``pool_size_sockets=0`` on the fleet itself for the
-    unpooled regime).
+    pooled fleet.  The one exception is the group-less topology
+    (:meth:`unpooled`, ``pool_size_sockets=0``): every server maps to
+    ``-1`` and ``n_groups == 0``.  A single cluster without a pool replays
+    as a one-shard fleet over it; fleets themselves use
+    ``pool_size_sockets=0`` without a topology for the unpooled regime.
 
     ``domain_of_group`` partitions groups into **provisioning domains**: pool
     blades are bought uniformly within a domain, so the capacity search
@@ -93,11 +98,8 @@ class PoolTopology:
             raise ValueError("need at least one shard")
         if sockets_per_server < 1:
             raise ValueError("sockets_per_server must be >= 1")
-        if pool_size_sockets < 1:
-            raise ValueError(
-                "pool_size_sockets must be >= 1 (an unpooled fleet needs no "
-                "topology)"
-            )
+        if pool_size_sockets < 0:
+            raise ValueError("pool_size_sockets cannot be negative")
         if pool_size_sockets % sockets_per_server != 0:
             raise ValueError(
                 "pool_size_sockets must be a multiple of the server socket count"
@@ -114,7 +116,14 @@ class PoolTopology:
         self.total_servers = sum(self.shard_sizes)
 
         seen = sorted({g for shard in self.group_of for g in shard})
-        if seen[0] != 0 or seen[-1] != len(seen) - 1:
+        if not pool_size_sockets:
+            if seen != [-1]:
+                raise ValueError(
+                    "pool_size_sockets=0 is the group-less topology: every "
+                    "server maps to group -1 (see PoolTopology.unpooled)"
+                )
+            seen = []
+        elif seen[0] != 0 or seen[-1] != len(seen) - 1:
             raise ValueError(
                 f"group ids must be contiguous 0..n-1, got {seen[:8]}..."
             )
@@ -127,6 +136,8 @@ class PoolTopology:
         for shard, assignment in enumerate(self.group_of):
             shard_groups: List[int] = []
             for group in assignment:
+                if group < 0:
+                    continue  # group-less topology
                 sizes[group] += 1
                 shards_of[group].add(shard)
                 if group not in shard_groups:
@@ -182,6 +193,18 @@ class PoolTopology:
             domains.extend([shard] * n_local)
             next_group += n_local
         return cls(group_of, sockets_per_server, pool_size_sockets, domains)
+
+    @classmethod
+    def unpooled(cls, shard_sizes: Sequence[int],
+                 sockets_per_server: int) -> "PoolTopology":
+        """The group-less topology: no server is attached to a pool.
+
+        The only way to build a topology with ``n_groups == 0``.  Replays
+        over it ignore the policy (every allocation is 0 GB) and report
+        ``pool_peak_gb == {}``, exactly like ``ClusterSimulator`` with
+        ``pool_size_sockets=0``.
+        """
+        return cls([[-1] * n for n in shard_sizes], sockets_per_server, 0)
 
     @classmethod
     def spanning(cls, shard_sizes: Sequence[int], sockets_per_server: int,
@@ -384,24 +407,26 @@ class PoolGroupLedger:
 
 
 def _shard_arrival_events(
-    shard: int,
     trace: TraceInput,
     policy,
+    pool_gb: Optional[np.ndarray],
     use_pool: bool,
     with_slowdowns: bool = False,
 ) -> Iterator[Tuple[float, float, int, float, str, float]]:
     """One shard's ``(arrival, departure, cores, memory, vm_id, pool_gb)``
-    stream, in arrival order, with pool allocations resolved exactly like
-    the single-cluster replay (shared :func:`iter_policy_blocks`).
+    stream, in arrival order, with pool allocations resolved by the shared
+    :func:`iter_policy_blocks` (precomputed ``pool_gb`` first, then the
+    policy; all zero when ``use_pool`` is false).
 
     With ``with_slowdowns`` (the online replay's mitigation path) each
     tuple carries a seventh element: the VM's estimated slowdown percent
     from :func:`estimate_slowdown_batch` under ``policy``, computed per
-    block exactly like the single-cluster online loop."""
+    block -- the policy estimates slowdowns even when ``pool_gb`` replaces
+    its allocation decisions."""
     streaming = not isinstance(trace, ClusterTrace)
     last_arrival = 0.0
     for block, records, allocations in iter_policy_blocks(
-        trace, policy, None, use_pool
+        trace, policy, pool_gb, use_pool
     ):
         vm_ids, arrivals, departs, cores_col, memory_col = (
             block_replay_columns(block, records)
@@ -440,8 +465,8 @@ def _shard_arrival_events(
 
 #: Event kinds in the merged heap; at equal timestamps departures fire first,
 #: then fault events, then grid samples, then horizon samples, then (outside
-#: the heap) arrivals -- the single-cluster simulator's ordering, per shard
-#: (DESIGN.md sections 10 and 11).
+#: the heap) arrivals (DESIGN.md sections 10 and 11).  This table is the
+#: ordering contract ``repro.analysis.contracts`` checks.
 _KIND_DEPARTURE = 0
 _KIND_FAULT = 1
 _KIND_SAMPLE = 2
@@ -474,22 +499,21 @@ def replay_crossshard(
     byte-identical to running each shard through ``ClusterSimulator`` on its
     own (same floats, same sample rows, same peaks): disjoint shards never
     read each other's state, and per shard the event order and arithmetic
-    match the single-cluster loop operation for operation.  Shard results of
-    spanning topologies report ``pool_peak_gb = {}`` -- a spanned group's
-    peak belongs to the fleet, not to any one shard (read it off the
-    returned ledger).
+    are exactly a one-shard replay's -- which is what ``ClusterSimulator``
+    runs.  Shard results of spanning topologies report ``pool_peak_gb =
+    {}`` -- a spanned group's peak belongs to the fleet, not to any one
+    shard (read it off the returned ledger).
 
     Materialised traces whose departures all fall strictly after their
     arrivals (and whose VMs all request at least one core), replayed on a
     fleet of shards sharing one server SKU, run on the **inlined** merged
     loop (:func:`_replay_crossshard_inlined`): the event heap is replaced by
     a precomputed global event order and the per-event engine method calls
-    by the hoisted-local hot loop of ``ClusterSimulator._run_array`` (the
-    loop hoists the SKU shape into scalars, hence the uniformity
-    requirement).  Anything else -- streams, hand-built column blocks,
-    degenerate lifetimes, zero-core VMs or mixed-SKU fleets -- keeps the
-    engine-method event loop (:func:`_replay_crossshard_events`), which also
-    serves as the differential reference pinning the inlined loop's
+    by hoisted locals (the loop hoists the SKU shape into scalars, hence the
+    uniformity requirement).  Anything else -- streams, hand-built column
+    blocks, degenerate lifetimes, zero-core VMs or mixed-SKU fleets -- keeps
+    the engine-method event loop (:func:`_replay_crossshard_events`), which
+    also serves as the differential reference pinning the inlined loop's
     byte-identical results.
 
     ``online`` activates the online QoS/mitigation stage (DESIGN.md section
@@ -514,13 +538,45 @@ def replay_crossshard(
     (differential-tested).  Impact accounting lands on each result's
     ``fault_stats`` (group-level counters on the group's home shard).
     """
+    return _replay_crossshard(
+        inputs, policies, n_servers_per_shard, server_configs, topology,
+        capacity, constrain_memory, sample_interval_s, record_placements,
+        online=online, faults=faults)
+
+
+def _replay_crossshard(
+    inputs: Sequence[TraceInput],
+    policies: Sequence[object],
+    n_servers_per_shard: Sequence[int],
+    server_configs: Sequence[ServerConfig],
+    topology: PoolTopology,
+    capacity: Union[float, Dict[int, float]],
+    constrain_memory: bool,
+    sample_interval_s: float,
+    record_placements: bool = False,
+    online: Optional[OnlineControlConfig] = None,
+    faults: Optional[FaultSchedule] = None,
+    pool_gb: Optional[Sequence[Optional[np.ndarray]]] = None,
+    horizon_s: Optional[float] = None,
+) -> Tuple[List[SimulationResult], PoolGroupLedger]:
+    """:func:`replay_crossshard`'s dispatcher, plus two replay inputs.
+
+    ``ClusterSimulator.run`` replays its cluster through here as a one-shard
+    fleet, passing what a single-cluster ``run`` accepts on top:
+
+    * ``pool_gb`` -- per shard, precomputed allocations (or ``None``) that
+      replace the policy's decisions; the policy still estimates slowdowns
+      for the online stage;
+    * ``horizon_s`` -- every shard's horizon, instead of its last arrival.
+    """
     _validate_crossshard_args(
         inputs, policies, n_servers_per_shard, server_configs, topology)
+    args = (inputs, policies, n_servers_per_shard, server_configs, topology,
+            capacity, constrain_memory, sample_interval_s, record_placements)
+    extra = dict(pool_gb=pool_gb, horizon_s=horizon_s)
     if online is not None or faults is not None:
-        return _replay_crossshard_events(
-            inputs, policies, n_servers_per_shard, server_configs, topology,
-            capacity, constrain_memory, sample_interval_s, record_placements,
-            online=online, faults=faults)
+        return _replay_crossshard_events(*args, online=online, faults=faults,
+                                         **extra)
     uniform_sku = len({
         (cfg.sockets, cfg.cores_per_socket, cfg.dram_per_socket_gb)
         for cfg in server_configs
@@ -538,12 +594,8 @@ def replay_crossshard(
         ):
             break
     else:
-        return _replay_crossshard_inlined(
-            inputs, policies, n_servers_per_shard, server_configs, topology,
-            capacity, constrain_memory, sample_interval_s, record_placements)
-    return _replay_crossshard_events(
-        inputs, policies, n_servers_per_shard, server_configs, topology,
-        capacity, constrain_memory, sample_interval_s, record_placements)
+        return _replay_crossshard_inlined(*args, **extra)
+    return _replay_crossshard_events(*args, **extra)
 
 
 def _validate_crossshard_args(inputs, policies, n_servers_per_shard,
@@ -599,49 +651,29 @@ def _replay_crossshard_events(
     record_placements: bool = False,
     online: Optional[OnlineControlConfig] = None,
     faults: Optional[FaultSchedule] = None,
+    pool_gb: Optional[Sequence[Optional[np.ndarray]]] = None,
+    horizon_s: Optional[float] = None,
 ) -> Tuple[List[SimulationResult], PoolGroupLedger]:
-    """The engine-method cross-shard event loop (differential reference).
+    """The engine-method cross-shard event loop (the ordering reference).
 
     Events live in an explicit heap and every placement/removal goes through
     :class:`ArrayPlacementEngine` methods.  This is the loop the inlined
     fast path (:func:`_replay_crossshard_inlined`) is differentially pinned
     against; it also handles inputs the fast path cannot (streams,
     hand-built blocks, degenerate lifetimes, zero-core VMs) and carries the
-    online QoS/mitigation stage (``online=...``): per-shard QoS ticks fire
-    after that shard's grid samples, exactly like the single-cluster online
-    loop (:meth:`ClusterSimulator._run_array_online`).
+    online QoS/mitigation stage (``online=...``, per-shard QoS ticks after
+    that shard's grid samples) and fault injection (``faults=...``).  The
+    heap's ``_KIND_*`` priorities and ``pump``'s dispatch are the
+    tie-breaking contract that ``repro.analysis.contracts`` checks.
     """
     n_shards = len(inputs)
-    if not (len(policies) == len(n_servers_per_shard) == len(server_configs)
-            == n_shards == topology.n_shards):
-        raise ValueError("inputs/policies/configs/topology shard counts differ")
-    for shard in range(n_shards):
-        if n_servers_per_shard[shard] != topology.shard_sizes[shard]:
-            raise ValueError(
-                f"topology maps {topology.shard_sizes[shard]} servers for "
-                f"shard {shard}, fleet has {n_servers_per_shard[shard]}"
-            )
-
-    ledger = PoolGroupLedger.for_topology(topology, capacity)
-    engines: List[ArrayPlacementEngine] = []
-    results: List[SimulationResult] = []
-    for shard in range(n_shards):
-        engines.append(ArrayPlacementEngine(
-            n_servers_per_shard[shard],
-            effective_server_config(server_configs[shard], constrain_memory),
-            group_of=list(topology.group_of[shard]),
-            pool_free_gb=ledger.free_gb,
-            pool_used_gb=ledger.used_gb,
-            pool_peak_gb=ledger.peak_gb,
-        ))
-        results.append(SimulationResult())
-
-    shard_groups = [topology.groups_of_shard(s) for s in range(n_shards)]
-    total_cores = [e.total_cores for e in engines]
-    total_dram = [
-        n_servers_per_shard[s] * server_configs[s].total_dram_gb
-        for s in range(n_shards)
-    ]
+    use_pool = bool(topology.n_groups)
+    if pool_gb is None:
+        pool_gb = [None] * n_shards
+    ledger, engines, results, shard_groups, total_cores, total_dram = (
+        _crossshard_setup(n_servers_per_shard, server_configs, topology,
+                          capacity, constrain_memory)
+    )
     last_sample: List[Optional[float]] = [None] * n_shards
     done = [False] * n_shards
     placed = [0] * n_shards
@@ -669,9 +701,8 @@ def _replay_crossshard_events(
             results[shard].fault_stats = fstats[shard]
         injector = FaultInjector(
             faults, ledger, engines, at_risk, fstats,
-            group_shards={g: topology.group_shards[g]
-                          for g in range(topology.n_groups)},
-            done=done,
+            {g: topology.group_shards[g] for g in range(topology.n_groups)},
+            done,
         )
     else:
         injector = None
@@ -734,6 +765,7 @@ def _replay_crossshard_events(
     heapq.heapify(events)
     heappush = heapq.heappush
     heappop = heapq.heappop
+    heapreplace = heapq.heapreplace
 
     def pump(limit) -> None:
         """Apply every heaped event ordered before ``limit``."""
@@ -784,25 +816,26 @@ def _replay_crossshard_events(
 
     # -- k-way arrival merge (ties broken by shard index) -------------------
     arrival_iters = [
-        _shard_arrival_events(shard, inputs[shard], policies[shard], True,
-                              with_slowdowns=mitigate)
+        _shard_arrival_events(inputs[shard], policies[shard], pool_gb[shard],
+                              use_pool, with_slowdowns=mitigate)
         for shard in range(n_shards)
     ]
-    shard_end = [0.0] * n_shards
     merge_heap: list = []
     for shard, it in enumerate(arrival_iters):
         first = next(it, None)
         if first is None:
-            # Empty shard trace: its horizon is time 0.0, like the
-            # single-cluster replay of an empty trace.
-            heappush(events, (0.0, _KIND_HORIZON, shard))
+            # Empty shard trace: its horizon is time 0.0 unless given.
+            heappush(events, (0.0 if horizon_s is None else horizon_s,
+                              _KIND_HORIZON, shard))
         else:
             merge_heap.append((first[0], shard, first))
     heapq.heapify(merge_heap)
 
     seq = 0
     while merge_heap:
-        arrival_s, shard, record = heappop(merge_heap)
+        # Peek, then replace the entry in one step below (pump never
+        # touches the merge heap).
+        arrival_s, shard, record = merge_heap[0]
         pump((arrival_s, _KIND_ARRIVAL))
         _, departure_s, cores_r, memory_gb, vm_id, vm_pool_gb = record[:6]
         local_gb = memory_gb - vm_pool_gb
@@ -834,14 +867,15 @@ def _replay_crossshard_events(
                          (departure_s, _KIND_DEPARTURE, seq, shard, handle))
             if mitigate and vm_pool_gb > 0.0 and record[6] > threshold:
                 at_risk[shard][handle] = vm_id
-        shard_end[shard] = arrival_s
         nxt = next(arrival_iters[shard], None)
         if nxt is None:
-            # Shard exhausted: its horizon is its last arrival time.  The
-            # horizon fires after every departure and grid sample <= it.
-            heappush(events, (arrival_s, _KIND_HORIZON, shard))
+            # Shard exhausted: its horizon (by default its last arrival
+            # time) fires after every departure and grid sample <= it.
+            heappop(merge_heap)
+            heappush(events, (arrival_s if horizon_s is None else horizon_s,
+                              _KIND_HORIZON, shard))
         else:
-            heappush(merge_heap, (nxt[0], shard, nxt))
+            heapreplace(merge_heap, (nxt[0], shard, nxt))
 
     # Drain: remaining departures in time order, each shard's grid samples up
     # to its own horizon, then the horizon samples themselves; grid events
@@ -884,6 +918,8 @@ def _replay_crossshard_inlined(
     constrain_memory: bool,
     sample_interval_s: float,
     record_placements: bool = False,
+    pool_gb: Optional[Sequence[Optional[np.ndarray]]] = None,
+    horizon_s: Optional[float] = None,
 ) -> Tuple[List[SimulationResult], PoolGroupLedger]:
     """The inlined cross-shard merged loop (heap-free, flat fleet state).
 
@@ -916,22 +952,32 @@ def _replay_crossshard_inlined(
     * **grid samples and horizons**: every shard's grid is the same
       ``k * sample_interval_s`` sequence, so one shared clock plus per-shard
       alive flags replaces per-shard heap entries (shards fire in shard
-      order at each tick, exactly the heap's tie-break); horizons activate
+      order at each tick, exactly the heap's tie-break); horizons (at
+      ``horizon_s`` when given, else at the shard's last arrival) activate
       when their shard's last arrival is processed, matching the heap push,
       and wait in a tiny heap of their own whose min is cached in a local;
     * the per-event arithmetic is statement-for-statement
-      :meth:`ArrayPlacementEngine.place` / ``remove``, with the same
-      full-server elision and GC pause as
-      ``ClusterSimulator._run_array_presorted`` (``buckets[0]`` is rebuilt
-      canonically per shard at the end).  Departures of VMs that drew no
-      pool memory skip the pool ledger block entirely: every write in it is
-      a float no-op for ``pool_gb == 0`` (``x - 0.0 == x``; the quantities
-      involved are never ``-0.0``), so results are unchanged.
+      :meth:`ArrayPlacementEngine.place` / ``remove``, with two cuts.
+      **Full-server elision**: the best-fit walk starts at ``free >= cores
+      >= 1``, so ``buckets[0]`` (servers with no free core) is never read;
+      a placement that fills a server skips the insort, a departure from a
+      full server skips the delete, and ``buckets[0]`` is rebuilt
+      canonically per shard at the end.  **GC pause**: the cyclic GC is
+      off for the loop (restored in a ``finally``), since the payload and
+      bucket-key tuples allocated per event would otherwise trigger
+      repeated young-generation scans over the long-lived state.
+      Departures of VMs that drew no pool memory skip the pool ledger block
+      entirely: every write in it is a float no-op for ``pool_gb == 0``
+      (``x - 0.0 == x``; the quantities involved are never ``-0.0``), so
+      results are unchanged.
 
     Byte-identical to the events loop by construction and pinned by the
     differential suite in ``tests/test_pool_topology.py``.
     """
     n_shards = len(inputs)
+    use_pool = bool(topology.n_groups)
+    if pool_gb is None:
+        pool_gb = [None] * n_shards
     ledger, engines, results, shard_groups, total_cores, total_dram = (
         _crossshard_setup(n_servers_per_shard, server_configs, topology,
                           capacity, constrain_memory)
@@ -1010,12 +1056,12 @@ def _replay_crossshard_inlined(
     for shard in range(n_shards):
         trace = inputs[shard]
         block, records, allocations = next(iter(iter_policy_blocks(
-            trace, policies[shard], None, True)))
+            trace, policies[shard], pool_gb[shard], use_pool)))
         columns = trace.columns()
         n_s = columns.arrival_s.shape[0]
         if allocations is None:
             pol = policies[shard]
-            if pol is not None:
+            if pol is not None and use_pool:
                 # min/max matches np.clip bit-for-bit for finite values
                 # (block_replay_columns' clamp), without the ufunc dispatch.
                 allocations = [
@@ -1031,7 +1077,10 @@ def _replay_crossshard_inlined(
         shard_parts.append(np.full(n_s, shard, dtype=np.int64))
         pos_parts.append(np.arange(n_s, dtype=np.int64))
         vm_ids_by_shard.append(columns.vm_ids)
-        horizons[shard] = float(columns.arrival_s[n_s - 1]) if n_s else 0.0
+        if horizon_s is not None:
+            horizons[shard] = horizon_s
+        elif n_s:
+            horizons[shard] = float(columns.arrival_s[n_s - 1])
         remaining[shard] = n_s
 
     arrival_all = np.concatenate(arr_parts)
@@ -1085,7 +1134,7 @@ def _replay_crossshard_inlined(
     hor_heap: List[Tuple[float, int]] = []
     for shard in range(n_shards):
         if not remaining[shard]:
-            heappush(hor_heap, (0.0, shard))
+            heappush(hor_heap, (horizons[shard], shard))
     t_h = hor_heap[0][0] if hor_heap else inf
     #: Cached next grid tick (``inf`` once every shard's horizon passed).
     t_s = 0.0

@@ -12,8 +12,9 @@ Lock-down for the project-specific static analysis (DESIGN.md section 12):
 * **Pickle safety**: hazardous attributes on pool-boundary classes are
   flagged through the static closure; ``__getstate__`` classes are
   trusted; the real source tree is clean.
-* **Contracts**: the real replay loops satisfy the documented event
-  ordering, and a fixture copy with fault/sample ordering swapped fails.
+* **Contracts**: the real events loop satisfies the documented event
+  ordering, and fixture pumps with a planted ordering violation fail with
+  that violation's rule code.
 * **Sanitizer**: deliberately corrupted engine/ledger state trips the
   ``REPRO_SANITIZE`` invariants; clean replay sequences do not.
 """
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.contracts import check_pump, check_simulator
+from repro.analysis.contracts import check_contracts, check_pump
 from repro.analysis.det_rules import lint_source
 from repro.analysis.findings import (
     Finding,
@@ -316,52 +317,7 @@ class TestPickleSafety:
 
 
 class TestContracts:
-    SIMULATOR = SRC / "repro" / "cluster" / "simulator.py"
     POOL_TOPOLOGY = SRC / "repro" / "cluster" / "pool_topology.py"
-
-    def test_real_loops_pass(self):
-        assert check_simulator(self.SIMULATOR) == []
-        assert check_pump(self.POOL_TOPOLOGY) == []
-
-    def test_swapped_fault_sample_ordering_fails(self, tmp_path):
-        """A fixture copy of simulator.py with the fault/sample tie
-        inverted must fail the checker (acceptance criterion)."""
-        source = self.SIMULATOR.read_text()
-        swapped = source.replace(
-            "elif fault_time <= next_sample_time:",
-            "elif next_sample_time <= fault_time:",
-        )
-        assert swapped != source, "anchor line changed; update this test"
-        fixture = tmp_path / "simulator_swapped.py"
-        fixture.write_text(swapped)
-        findings = check_simulator(fixture)
-        assert "ORD003" in rules_of(findings)
-
-    def test_sample_arm_order_swap_fails(self, tmp_path):
-        fixture = tmp_path / "loop.py"
-        fixture.write_text(textwrap.dedent("""\
-            def _run_array_online(self):
-                def advance_to(time_s):
-                    while True:
-                        if departure_time <= next_sample_time and \\
-                                departure_time <= fault_time:
-                            process_one_departure()
-                        elif fault_time <= next_sample_time:
-                            injector.fire_next()
-                        else:
-                            if mitigate:
-                                qos_tick()
-                            take_sample(next_sample_time)
-                            if injector is not None:
-                                injector.retry_tick(0)
-            """))
-        assert "ORD004" in rules_of(check_simulator(fixture))
-
-    def test_missing_anchor_fails_loudly(self, tmp_path):
-        fixture = tmp_path / "empty.py"
-        fixture.write_text("x = 1\n")
-        assert rules_of(check_simulator(fixture)) == ["ORD001"]
-        assert "ORD001" in rules_of(check_pump(fixture))
 
     PUMP_TEMPLATE = """\
         _KIND_DEPARTURE = {dep}
@@ -380,26 +336,87 @@ class TestContracts:
                     elif kind == _KIND_FAULT:
                         injector.fire_next()
                     elif kind == _KIND_SAMPLE:
-                        take_sample(shard, event[0])
-                        heappush(events, (event[0] + s, _KIND_SAMPLE, shard))
-                        if mitigate:
-                            qos_tick(shard)
-                        if injector is not None:
-                            injector.retry_tick(shard)
+                        {sample_arm}
                     else:
                         done[shard] = True
         """
 
-    def test_minimal_pump_fixture_passes(self, tmp_path):
+    SAMPLE_ARM = (
+        "take_sample(shard, event[0])",
+        "heappush(events, (event[0] + s, _KIND_SAMPLE, shard))",
+        "if mitigate:",
+        "    qos_tick(shard)",
+        "if injector is not None:",
+        "    injector.retry_tick(shard)",
+    )
+
+    def pump_fixture(self, tmp_path, dep=0, fault=1, sample=2,
+                     sample_arm=SAMPLE_ARM):
+        arm = ("\n" + " " * 24).join(sample_arm)
         fixture = tmp_path / "pump.py"
-        fixture.write_text(textwrap.dedent(
-            self.PUMP_TEMPLATE.format(dep=0, fault=1, sample=2)))
-        assert check_pump(fixture) == []
+        fixture.write_text(textwrap.dedent(self.PUMP_TEMPLATE.format(
+            dep=dep, fault=fault, sample=sample, sample_arm=arm)))
+        return fixture
+
+    def test_real_loops_pass(self):
+        assert check_pump(self.POOL_TOPOLOGY) == []
+        assert check_contracts() == []
+
+    def test_swapped_fault_sample_ordering_fails(self, tmp_path):
+        """A fixture copy of pool_topology.py with the fault/sample tie
+        inverted must fail the checker (acceptance criterion)."""
+        source = self.POOL_TOPOLOGY.read_text()
+        swapped = source.replace(
+            "_KIND_FAULT = 1\n_KIND_SAMPLE = 2\n",
+            "_KIND_FAULT = 2\n_KIND_SAMPLE = 1\n",
+        )
+        assert swapped != source, "anchor line changed; update this test"
+        fixture = tmp_path / "pool_topology_swapped.py"
+        fixture.write_text(swapped)
+        assert "ORD003" in rules_of(check_pump(fixture))
+
+    def test_sample_arm_order_swap_fails(self, tmp_path):
+        fixture = self.pump_fixture(tmp_path, sample_arm=(
+            "if mitigate:",
+            "    qos_tick(shard)",
+            "take_sample(shard, event[0])",
+            "heappush(events, (event[0] + s, _KIND_SAMPLE, shard))",
+            "if injector is not None:",
+            "    injector.retry_tick(shard)",
+        ))
+        assert "ORD004" in rules_of(check_pump(fixture))
+
+    def test_departure_tie_loss_fails(self, tmp_path):
+        fixture = self.pump_fixture(tmp_path, dep=1, fault=0, sample=2)
+        assert "ORD002" in rules_of(check_pump(fixture))
+
+    def test_late_reschedule_fails(self, tmp_path):
+        fixture = self.pump_fixture(tmp_path, sample_arm=(
+            "take_sample(shard, event[0])",
+            "if mitigate:",
+            "    qos_tick(shard)",
+            "heappush(events, (event[0] + s, _KIND_SAMPLE, shard))",
+            "if injector is not None:",
+            "    injector.retry_tick(shard)",
+        ))
+        assert rules_of(check_pump(fixture)) == ["ORD007"]
+
+    def test_missing_anchor_fails_loudly(self, tmp_path):
+        fixture = tmp_path / "empty.py"
+        fixture.write_text("x = 1\n")
+        assert set(rules_of(check_pump(fixture))) == {"ORD001"}
+        table_only = tmp_path / "table_only.py"
+        table_only.write_text(textwrap.dedent(
+            self.PUMP_TEMPLATE.format(dep=0, fault=1, sample=2,
+                                      sample_arm="pass")
+        ).split("def _replay_crossshard_events")[0])
+        assert rules_of(check_pump(table_only)) == ["ORD001"]
+
+    def test_minimal_pump_fixture_passes(self, tmp_path):
+        assert check_pump(self.pump_fixture(tmp_path)) == []
 
     def test_kind_priority_swap_fails(self, tmp_path):
-        fixture = tmp_path / "pump.py"
-        fixture.write_text(textwrap.dedent(
-            self.PUMP_TEMPLATE.format(dep=0, fault=2, sample=1)))
+        fixture = self.pump_fixture(tmp_path, dep=0, fault=2, sample=1)
         assert "ORD005" in rules_of(check_pump(fixture))
 
 

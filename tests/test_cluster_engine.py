@@ -12,6 +12,7 @@ from repro.cluster.engine import (
     resolve_engine,
     validate_engine,
 )
+from repro.cluster.faults import FaultSchedule
 from repro.cluster.fleet import FleetSimulator, pond_policy_factory
 from repro.cluster.pool import FixedFractionPolicy, PoolDimensioner
 from repro.cluster.scheduler import PlacementError, VMScheduler
@@ -19,6 +20,7 @@ from repro.cluster.server import ClusterServer, ServerConfig
 from repro.cluster.simulator import ClusterSimulator
 from repro.cluster.trace import ClusterTrace, VMTraceRecord
 from repro.cluster.tracegen import TraceGenConfig, TraceGenerator
+from repro.core.control_plane.online import OnlineControlConfig
 from repro.core.policies import PondTracePolicy
 from repro.core.prediction.combined import CombinedOperatingPoint
 
@@ -175,11 +177,22 @@ class TestArrayObjectDifferential:
     def test_horizon_variants(self):
         trace = bulk_trace(seed=19, n_servers=4, duration_days=0.3)
         span = max(r.arrival_s for r in trace)
-        for horizon in (None, span, span + 1800.0, span + 7200.0):
+        array_sim = ClusterSimulator(n_servers=4, sample_interval_s=1800.0)
+        disabled = OnlineControlConfig(qos_threshold_percent=float("inf"))
+        for horizon in (None, span - 2700.0, span, span + 1800.0,
+                        span + 7200.0):
             array_result, object_result = run_both(
                 trace, n_servers=4, horizon_s=horizon
             )
             assert_identical(array_result, object_result)
+            # The online and fault-aware replays honour the same horizon.
+            assert_identical(
+                array_sim.run(trace, horizon_s=horizon, online=disabled),
+                object_result)
+            assert_identical(
+                array_sim.run(trace, horizon_s=horizon,
+                              faults=FaultSchedule()),
+                object_result)
 
 
 class TestVMSchedulerArrayFacade:

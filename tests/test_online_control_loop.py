@@ -137,26 +137,34 @@ class TestDisabledMitigationIsStatic:
         assert static_ledger.peak_gb == online_ledger.peak_gb
 
     def test_crossshard_shard_agrees_with_single_cluster(self, policy):
-        """Per-shard topology online replay == the same shard run alone."""
-        cfg = TraceGenConfig(cluster_id="solo", n_servers=8,
-                             duration_days=0.6, mean_lifetime_hours=2.0,
-                             target_core_utilization=0.85, seed=33)
-        shard_trace = TraceGenerator(cfg).generate()
+        """A 2-shard per-shard topology online replay == each shard alone."""
+        sizes = (8, 6)
+        traces = [
+            TraceGenerator(TraceGenConfig(
+                cluster_id=f"solo-{shard}", n_servers=n, duration_days=0.6,
+                mean_lifetime_hours=2.0, target_core_utilization=0.85,
+                seed=33 + shard,
+            )).generate()
+            for shard, n in enumerate(sizes)
+        ]
         online = OnlineControlConfig(qos_threshold_percent=5.0)
-        topo = PoolTopology.per_shard([8], 2, 8)
+        topo = PoolTopology.per_shard(list(sizes), 2, 8)
         results, _ = replay_crossshard(
-            [shard_trace], [policy], [8], [cfg.server_config], topo,
+            traces, [policy] * 2, list(sizes), [ServerConfig()] * 2, topo,
             float("inf"), False, 3600.0, online=online,
         )
-        solo = make_simulator(n_servers=8, pool_size_sockets=8).run(
-            shard_trace, policy, online=online)
-        assert_results_identical(solo, results[0])
-        assert solo.online_stats.n_mitigations == \
-            results[0].online_stats.n_mitigations
-        assert solo.online_stats.mitigated_vm_ids == \
-            results[0].online_stats.mitigated_vm_ids
-        assert solo.online_stats.migrated_gb == \
-            results[0].online_stats.migrated_gb
+        assert sum(r.online_stats.n_mitigations for r in results) > 0
+        for shard, n in enumerate(sizes):
+            solo = make_simulator(n_servers=n, pool_size_sockets=8).run(
+                traces[shard], policy, online=online)
+            fleet = results[shard]
+            assert_results_identical(solo, fleet)
+            assert solo.online_stats.n_mitigations == \
+                fleet.online_stats.n_mitigations
+            assert solo.online_stats.mitigated_vm_ids == \
+                fleet.online_stats.mitigated_vm_ids
+            assert solo.online_stats.migrated_gb == \
+                fleet.online_stats.migrated_gb
 
 
 class TestMitigationEffects:

@@ -22,6 +22,7 @@ from repro.cluster.fleet import (
 from repro.cluster.pool import FixedFractionPolicy
 from repro.cluster.pool_topology import PoolGroupLedger, replay_crossshard
 from repro.cluster.server import ServerConfig
+from repro.cluster.simulator import ClusterSimulator
 from repro.cluster.trace import ClusterTrace, VMTraceRecord
 from repro.cluster.tracegen import TraceGenConfig
 from repro.core.prediction.combined import CombinedOperatingPoint
@@ -69,6 +70,22 @@ class TestTopologyShape:
         # Domain 0 (shard 0): groups 0,1 at 1.1 * 30; domain 1: group 2.
         assert caps == {0: 1.1 * 30.0, 1: 1.1 * 30.0, 2: 1.1 * 5.0}
         assert total == pytest.approx(2 * 1.1 * 30.0 + 1.1 * 5.0)
+
+    def test_unpooled_topology_has_no_groups(self):
+        topo = PoolTopology.unpooled([3, 2], sockets_per_server=2)
+        assert topo.n_groups == 0
+        assert topo.group_of == ((-1, -1, -1), (-1, -1))
+        assert topo.groups_of_shard(1) == ()
+        assert topo.is_per_shard
+        assert PoolGroupLedger.for_topology(topo, 100.0).capacity_gb == {}
+        with pytest.raises(ValueError):
+            PoolTopology([[0, 0]], 2, 0)  # pool_size_sockets=0 is group-less
+        with pytest.raises(ValueError):
+            PoolTopology([[0, -1]], 2, 4)  # only the unpooled topology has -1
+        with pytest.raises(ValueError, match="needs pool groups"):
+            FleetSimulator.sharded(
+                2, base_config(),
+                pool_topology=PoolTopology.unpooled([6, 6], 2))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -386,6 +403,28 @@ class TestInlinedLoopDifferential:
             self._run(_replay_crossshard_events, shard_traces, topo,
                       policies, caps),
         )
+
+    def test_unpooled_topology(self, shard_traces):
+        """A group-less topology ignores the policy: no pool, no peaks."""
+        from repro.cluster.pool_topology import _replay_crossshard_events
+        topo = PoolTopology.unpooled([6, 8, 5], 2)
+        policies = [BatchFractionPolicy(0.4)] * 3
+        fast = self._run(replay_crossshard, shard_traces, topo, policies,
+                         120.0)
+        self._assert_identical(fast, self._run(
+            _replay_crossshard_events, shard_traces, topo, policies, 120.0))
+        results, ledger = fast
+        assert ledger.peak_gb == {}
+        for trace, n, result in zip(shard_traces, [6, 8, 5], results):
+            assert result.pool_peak_gb == {}
+            assert result.total_pool_gb_allocated == 0.0
+            solo = ClusterSimulator(
+                n, constrain_memory=False, engine="object",
+            ).run(trace, policies[0])
+            assert result.placements == solo.placements
+            assert result.server_peak_total_gb == solo.server_peak_total_gb
+            assert np.array_equal(result.sample_buffer.rows(),
+                                  solo.sample_buffer.rows())
 
     def test_dispatcher_uses_inlined_loop(self, shard_traces, monkeypatch):
         """Materialised uniform-SKU inputs must take the inlined path."""
