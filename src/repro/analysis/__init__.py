@@ -22,12 +22,13 @@ test time.  Four layers:
 * :mod:`repro.analysis.contracts` -- the event-ordering contract checker:
   verifies the documented replay ordering (departures -> faults -> sample ->
   QoS tick -> evacuation retries; DESIGN.md sections 10-12) against the
-  heap priority table and the pump of ``pool_topology.py``'s events loop.
+  heap priority table and the pump of ``pool_topology.py``'s events loop,
+  and the sample -> QoS tick order of the inlined core's grid-tick block.
 * :mod:`repro.analysis.sanitizer` -- the opt-in runtime sanitizer
   (``REPRO_SANITIZE=1``): invariant-asserting wrappers on
   ``PoolGroupLedger`` / ``ArrayPlacementEngine`` mutators (no negative pool
   usage, free+used conservation per group, live-handle consistency, no
-  silent kills).
+  silent kills), plus a per-grid-tick ledger check in the inlined core.
 
 The CLI front door is ``python -m repro.analysis`` (also installed as
 ``repro-lint``); it additionally hosts the fault-determinism differential

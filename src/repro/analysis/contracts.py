@@ -6,13 +6,16 @@ timestamps:
     departures -> fault events -> grid sample -> QoS tick -> evacuation
     retries
 
-Every online or faulted replay -- a single cluster replays as a one-shard
-fleet -- runs through ``pool_topology._replay_crossshard_events``, so the
-contract is stated once: the module's ``_KIND_*`` heap priority table and
-the kind dispatch in that loop's ``pump``.  Differential tests pin the
-*outputs* of that ordering; this checker reads the table and the pump's
-AST and verifies the documented order directly, so the docs cannot
-silently rot:
+A single cluster replays as a one-shard fleet, so every array replay runs
+through one of ``pool_topology``'s two loops.  The contract is stated once,
+in the events loop (``_replay_crossshard_events``, the ordering reference
+and the only loop that fires faults): the module's ``_KIND_*`` heap
+priority table and the kind dispatch in that loop's ``pump``.  The inlined
+core (``_replay_crossshard_inlined``) replays static and online inputs; its
+grid-tick block must sample each shard before that shard's QoS tick.
+Differential tests pin the *outputs* of that ordering; this checker reads
+the table, the pump's AST and the core's grid-tick block and verifies the
+documented order directly, so the docs cannot silently rot:
 
 ========  ==========================================================
 ``ORD001``  contract anchor missing (table/function/dispatch not found) --
@@ -22,7 +25,8 @@ silently rot:
 ``ORD003``  fault events must win ties against samples (lower
             ``_KIND_FAULT``; the fault arm fires the scheduled event)
 ``ORD004``  sample arm must run take_sample -> QoS tick -> retry tick,
-            in that order
+            in that order; the inlined core's grid-tick block must call a
+            shard's append_rows before that shard's qos_tick
 ``ORD005``  heap kind priorities must order departure < fault < sample <
             horizon < arrival
 ``ORD006``  pump dispatch must test departure, then fault, then sample
@@ -39,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.findings import Finding
 
-__all__ = ["ORDER_RULES", "check_contracts", "check_pump"]
+__all__ = ["ORDER_RULES", "check_contracts", "check_core", "check_pump"]
 
 ORDER_RULES: Dict[str, Tuple[str, str]] = {
     "ORD001": (
@@ -114,6 +118,9 @@ def _ordered_calls(nodes: Sequence[ast.AST]) -> List[Tuple[str, int]]:
                 out.append((func.id, node.lineno))
             elif isinstance(func, ast.Attribute):
                 out.append((func.attr, node.lineno))
+            elif (isinstance(func, ast.Subscript)
+                  and isinstance(func.value, ast.Name)):
+                out.append((func.value.id, node.lineno))  # append_rows[gs](...)
         for child in ast.iter_child_nodes(node):
             visit(child)
 
@@ -295,9 +302,51 @@ def check_pump(path) -> List[Finding]:
     return findings
 
 
+def _is_range_loop(node: ast.AST) -> bool:
+    return (isinstance(node, ast.For) and isinstance(node.iter, ast.Call)
+            and isinstance(node.iter.func, ast.Name)
+            and node.iter.func.id == "range")
+
+
+def check_core(path) -> List[Finding]:
+    """ORD004 on the inlined core's grid-tick block.
+
+    The block is the core's one ``for ... in range(...)`` loop that calls
+    ``append_rows``: per shard, the sample row must be appended before
+    that shard's ``qos_tick``, inside the same loop body (sampling every
+    shard first and ticking afterwards would let shard 0's pool samples
+    miss shard 1's mitigations of a spanning group, and vice versa).
+    """
+    path = Path(path)
+    posix = path.as_posix()
+    tree = ast.parse(path.read_text(), filename=str(path))
+    core = _find_function(tree, "_replay_crossshard_inlined")
+    if core is None:
+        return [_anchor_missing(posix, 1,
+                                "function _replay_crossshard_inlined")]
+    grid = [node for node in ast.walk(core) if _is_range_loop(node)
+            and "append_rows" in {name for name, _ in
+                                  _ordered_calls(node.body)}]
+    if len(grid) != 1:
+        return [_anchor_missing(
+            posix, core.lineno,
+            "one grid-tick loop (for ... in range) calling append_rows")]
+    calls = _ordered_calls(grid[0].body)
+    if not _calls_in_order(calls, ["append_rows", "qos_tick"]):
+        return [Finding(
+            rule="ORD004", path=posix, line=grid[0].lineno,
+            message="grid-tick block does not run append_rows, qos_tick "
+                    "per shard in contract order",
+            hint=ORDER_RULES["ORD004"][1],
+            snippet=" -> ".join(name for name, _ in calls),
+        )]
+    return []
+
+
 def check_contracts(pool_topology_path=None) -> List[Finding]:
-    """Check the events loop; the default path resolves inside the package."""
+    """Check the events loop and the inlined core; the default path
+    resolves inside the package."""
     if pool_topology_path is None:
         pool_topology_path = (Path(__file__).resolve().parents[1]
                               / "cluster" / "pool_topology.py")
-    return check_pump(pool_topology_path)
+    return check_pump(pool_topology_path) + check_core(pool_topology_path)

@@ -22,11 +22,17 @@ Violations raise :class:`SanitizerError` (an ``AssertionError`` subclass)
 at the faulty call, so a tier-1 run under the sanitizer pinpoints the
 mutation that broke the ledger rather than the replay that later noticed.
 
-The wrappers only see the engine-method path (``_replay_crossshard_events``,
-which runs every online and faulted replay).  The inlined hot loops
-(``_replay_crossshard_inlined``, ``ClusterSimulator._run_array_calendar``)
-bypass them by design; differential tests pin those byte-identical to the
-method path, so sanitizing the method path covers both.
+The wrappers see the engine-method path (``_replay_crossshard_events``,
+which runs faulted replays with events, streams, mixed-SKU fleets and
+degenerate traces).  The inlined core (``_replay_crossshard_inlined``),
+which runs every other replay -- static and online, single cluster and
+fleet -- calls no engine method; instead :func:`install` sets its grid-tick
+hook, so at every grid tick (after the shards' samples and QoS ticks) the
+core's flat per-group ledger is checked for negative accounting and, for
+finite groups, conservation.  The check runs per tick, not per event.
+Only the calendar loop (``ClusterSimulator._run_array_calendar``, static
+streams) runs unchecked; differential tests pin it byte-identical to the
+method path.
 
 Overhead is a few dict walks per mutation -- fine for tests, not for
 benchmarks; that is why it is opt-in.
@@ -169,11 +175,32 @@ def _check_ledger(ledger, group) -> None:
         )
 
 
+def _check_grid_tick(capacity_gb, free, used) -> None:
+    """The inlined core's grid-tick check over its flat per-group lists."""
+    for group, capacity in capacity_gb.items():
+        group_used = used[group]
+        group_free = free[group]
+        if group_used < -_NEG_TOL or group_free < -_NEG_TOL:
+            raise SanitizerError(
+                f"pool group {group}: negative accounting at a grid tick "
+                f"(used={group_used}, free={group_free})"
+            )
+        if math.isfinite(capacity):
+            total = group_free + group_used
+            if abs(total - capacity) > _CONSERVE_TOL:
+                raise SanitizerError(
+                    f"pool group {group}: free+used={total} GB drifted from "
+                    f"capacity={capacity} GB at a grid tick"
+                )
+
+
 def install() -> None:
-    """Wrap the engine and ledger mutators with invariant checks."""
+    """Wrap the engine and ledger mutators with invariant checks and set
+    the inlined core's grid-tick check."""
     global _installed
     if _installed:
         return
+    from repro.cluster import pool_topology
     from repro.cluster.engine import ArrayPlacementEngine
     from repro.cluster.pool_topology import PoolGroupLedger
 
@@ -221,14 +248,16 @@ def install() -> None:
     PoolGroupLedger.degrade = _wrap_ledger("degrade")
     PoolGroupLedger.repair = _wrap_ledger("repair")
     PoolGroupLedger.resync = _wrap_ledger("resync")
+    pool_topology._grid_tick_check = _check_grid_tick
     _installed = True
 
 
 def uninstall() -> None:
-    """Restore the unwrapped mutators (test teardown)."""
+    """Restore the unwrapped mutators and clear the grid-tick check."""
     global _installed
     if not _installed:
         return
+    from repro.cluster import pool_topology
     from repro.cluster.engine import ArrayPlacementEngine
     from repro.cluster.pool_topology import PoolGroupLedger
 
@@ -239,6 +268,7 @@ def uninstall() -> None:
     PoolGroupLedger.degrade = _originals["degrade"]
     PoolGroupLedger.repair = _originals["repair"]
     PoolGroupLedger.resync = _originals["resync"]
+    pool_topology._grid_tick_check = None
     _originals.clear()
     _installed = False
 

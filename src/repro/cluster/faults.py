@@ -96,9 +96,10 @@ class FaultSchedule:
     ``1`` kills at the first failed attempt; the default leaves room for
     departures to free headroom first.
 
-    An **empty** schedule is valid and useful: it still routes the replay
-    through the fault-aware engine-method loop, which the differential
-    tests pin byte-identical to the static replay.
+    An **empty** schedule is valid: it fires nothing, so a materialised
+    trace replays on the inlined loop like a static replay (byte-identical,
+    differential-tested) and reports a zeroed ``fault_stats``; a stream
+    replays through the fault-aware engine-method loop.
     """
 
     def __init__(self, events: Iterable[FaultEvent] = (),

@@ -60,6 +60,7 @@ from repro.cluster.trace import ClusterTrace
 from repro.core.control_plane.online import (
     OnlineControlConfig,
     OnlineControlStats,
+    at_risk_mask,
     estimate_slowdown_batch,
 )
 
@@ -506,24 +507,23 @@ def replay_crossshard(
 
     Materialised traces whose departures all fall strictly after their
     arrivals (and whose VMs all request at least one core), replayed on a
-    fleet of shards sharing one server SKU, run on the **inlined** merged
-    loop (:func:`_replay_crossshard_inlined`): the event heap is replaced by
-    a precomputed global event order and the per-event engine method calls
-    by hoisted locals (the loop hoists the SKU shape into scalars, hence the
-    uniformity requirement).  Anything else -- streams, hand-built column
-    blocks, degenerate lifetimes, zero-core VMs or mixed-SKU fleets -- keeps
-    the engine-method event loop (:func:`_replay_crossshard_events`), which
-    also serves as the differential reference pinning the inlined loop's
+    fleet of shards sharing one server SKU without fault events, run on the
+    **inlined** merged loop (:func:`_replay_crossshard_inlined`): the event
+    heap is replaced by a precomputed global event order and the per-event
+    engine method calls by hoisted locals (the loop hoists the SKU shape
+    into scalars, hence the uniformity requirement).  Anything else --
+    streams, hand-built column blocks, degenerate lifetimes, zero-core VMs,
+    mixed-SKU fleets or a schedule with fault events -- keeps the
+    engine-method event loop (:func:`_replay_crossshard_events`), which also
+    serves as the differential reference pinning the inlined loop's
     byte-identical results.
 
     ``online`` activates the online QoS/mitigation stage (DESIGN.md section
     10): after each shard's grid sample a QoS tick migrates that shard's
     at-risk pool-exposed VMs to local DRAM, updating the shared ledger.
-    Online replays always run on the engine-method event loop -- mitigation
-    mutates per-VM state mid-replay, which the precomputed-order inlined
-    loop cannot express -- and attach a per-shard
-    :class:`~repro.core.control_plane.online.OnlineControlStats` to each
-    result.  With mitigation disabled the per-shard results are
+    Both loops run it (the inlined loop as a grid-tick hook) and attach a
+    per-shard :class:`~repro.core.control_plane.online.OnlineControlStats`
+    to each result.  With mitigation disabled the per-shard results are
     byte-identical to the static replay (differential-tested).
 
     ``faults`` activates deterministic EMC fault injection (DESIGN.md
@@ -532,10 +532,10 @@ def replay_crossshard(
     samples at equal timestamps -- degrading the shared ledger and running
     the degradation ladder over affected VMs; per-shard evacuation-retry
     ticks fire after each shard's QoS tick (or directly after its grid
-    sample when ``online`` is off).  Like online replays, faulted replays
-    always run on the engine-method event loop; with an empty schedule the
-    per-shard results stay byte-identical to the static replay
-    (differential-tested).  Impact accounting lands on each result's
+    sample when ``online`` is off).  Faulted replays run on the
+    engine-method event loop.  An empty schedule fires nothing: it takes the
+    inlined loop like a static replay, and each result carries a zeroed
+    ``fault_stats``.  Impact accounting lands on each result's
     ``fault_stats`` (group-level counters on the group's home shard).
     """
     return _replay_crossshard(
@@ -573,29 +573,40 @@ def _replay_crossshard(
         inputs, policies, n_servers_per_shard, server_configs, topology)
     args = (inputs, policies, n_servers_per_shard, server_configs, topology,
             capacity, constrain_memory, sample_interval_s, record_placements)
-    extra = dict(pool_gb=pool_gb, horizon_s=horizon_s)
-    if online is not None or faults is not None:
-        return _replay_crossshard_events(*args, online=online, faults=faults,
-                                         **extra)
-    uniform_sku = len({
+    extra = dict(online=online, pool_gb=pool_gb, horizon_s=horizon_s)
+    if (faults is None or not faults.events) and _inlinable(inputs,
+                                                            server_configs):
+        results, ledger = _replay_crossshard_inlined(*args, **extra)
+        if faults is not None:
+            # An empty schedule fires nothing: the books stay at zero.
+            for result in results:
+                result.fault_stats = FaultImpactStats()
+        return results, ledger
+    return _replay_crossshard_events(*args, faults=faults, **extra)
+
+
+def _inlinable(inputs: Sequence[TraceInput],
+               server_configs: Sequence[ServerConfig]) -> bool:
+    """Whether the inlined core can replay these inputs: materialised
+    traces, one server SKU, ``departure > arrival`` and ``cores >= 1``."""
+    if len({
         (cfg.sockets, cfg.cores_per_socket, cfg.dram_per_socket_gb)
         for cfg in server_configs
-    }) <= 1
+    }) > 1:
+        return False
     for trace in inputs:
-        if not uniform_sku or not isinstance(trace, ClusterTrace):
-            break
+        if not isinstance(trace, ClusterTrace):
+            return False
         columns = trace.columns()
         arrivals = columns.arrival_s
         if arrivals is None:
-            break
+            return False
         if arrivals.shape[0] and not (
             bool((columns.departure_s > arrivals).all())
             and int(columns.cores.min()) >= 1
         ):
-            break
-    else:
-        return _replay_crossshard_inlined(*args, **extra)
-    return _replay_crossshard_events(*args, **extra)
+            return False
+    return True
 
 
 def _validate_crossshard_args(inputs, policies, n_servers_per_shard,
@@ -659,12 +670,13 @@ def _replay_crossshard_events(
     Events live in an explicit heap and every placement/removal goes through
     :class:`ArrayPlacementEngine` methods.  This is the loop the inlined
     fast path (:func:`_replay_crossshard_inlined`) is differentially pinned
-    against; it also handles inputs the fast path cannot (streams,
-    hand-built blocks, degenerate lifetimes, zero-core VMs) and carries the
-    online QoS/mitigation stage (``online=...``, per-shard QoS ticks after
-    that shard's grid samples) and fault injection (``faults=...``).  The
-    heap's ``_KIND_*`` priorities and ``pump``'s dispatch are the
-    tie-breaking contract that ``repro.analysis.contracts`` checks.
+    against, static and online; it also handles inputs the fast path
+    cannot (streams, hand-built blocks, degenerate lifetimes, zero-core VMs,
+    mixed SKUs) and fault injection (``faults=...``).  Its QoS tick
+    (``online=...``, per-shard ticks after that shard's grid samples) is the
+    reference for the inlined loop's.  The heap's ``_KIND_*`` priorities and
+    ``pump``'s dispatch are the tie-breaking contract that
+    ``repro.analysis.contracts`` checks.
     """
     n_shards = len(inputs)
     use_pool = bool(topology.n_groups)
@@ -906,6 +918,148 @@ def _replay_crossshard_events(
     return results, ledger
 
 
+#: Called by the inlined core at every grid tick with ``(capacity_gb,
+#: free, used)`` -- the ledger's capacity dict and the core's flat per-group
+#: lists -- when set.  ``repro.analysis.sanitizer.install`` sets it; ``None``
+#: costs one test per grid tick.
+_grid_tick_check = None
+
+
+class _QosTick:
+    """The online QoS tick on :func:`_replay_crossshard_inlined`'s flat state.
+
+    ``tick(shard, k_now, p)`` is the events loop's ``qos_tick(shard)``:
+
+    * **at-risk set**: one insertion-ordered dict per shard, keyed by merged
+      position (never recycled, unlike engine handles).  It is filled at
+      tick time from the shard's precomputed candidates (pool-exposed VMs
+      over the threshold, :func:`at_risk_mask`): every candidate before the
+      current arrival ``k_now`` that was placed.  Merged position is the
+      placement order, so the dict iterates exactly like the events loop's
+      dict filled at placement.  Entries whose departure rank is below the
+      drain pointer ``p`` have departed and are dropped before counting, as
+      the events loop's departure ``pop`` does.  The arrival and departure
+      loops do no online work at all;
+    * **mitigation**: :meth:`ArrayPlacementEngine.migrate_pool_to_local`
+      statement for statement -- headroom check, ledger drift clamp, server
+      and node usage, local peak, shard aggregates, stranding delta on full
+      servers, and the bucket reindex (skipped for full servers: the core's
+      full-server elision).  The payload is rewritten to carry the pool
+      share as local memory, so the departure releases local memory only.
+    """
+
+    def __init__(self, online, results, at_risk, order, vm_ids_by_shard,
+                 dep_sort, payload, node_gb, used_cores_srv, used_gb_srv,
+                 pool_used_srv, peak_local, pool_used, pool_free, group_of,
+                 buckets_l, agg_gb, agg_stranded, stc, std, dram_ps) -> None:
+        self.cost_per_gb = online.migration_cost_s_per_gb
+        self.stats = [res.online_stats for res in results]
+        # ``at_risk`` is in shard-concatenated order, like ``order``'s values.
+        candidates = np.flatnonzero(at_risk[order])
+        source = order[candidates]
+        dep_rank = np.empty(len(payload), dtype=np.int64)
+        dep_rank[dep_sort] = np.arange(len(payload), dtype=np.int64)
+        cand_rank = dep_rank[candidates]
+        #: per shard: merged positions of its at-risk candidates, ascending,
+        #: and their ``(vm id, departure rank)``.
+        self.cand_k: List[List[int]] = []
+        self.cand_info: List[List[Tuple[str, int]]] = []
+        first = 0
+        for vm_ids in vm_ids_by_shard:
+            mine = (source >= first) & (source < first + len(vm_ids))
+            self.cand_k.append(candidates[mine].tolist())
+            self.cand_info.append([
+                (vm_ids[i - first], rank) for i, rank in
+                zip(source[mine].tolist(), cand_rank[mine].tolist())
+            ])
+            first += len(vm_ids)
+        self.cursor = [0] * len(results)
+        self.flagged: List[Dict[int, Tuple[str, int]]] = [{} for _ in results]
+        self.payload = payload
+        self.node_gb = node_gb
+        self.used_cores_srv = used_cores_srv
+        self.used_gb_srv = used_gb_srv
+        self.pool_used_srv = pool_used_srv
+        self.peak_local = peak_local
+        self.pool_used = pool_used
+        self.pool_free = pool_free
+        self.group_of = group_of
+        self.buckets_l = buckets_l
+        self.agg_gb = agg_gb
+        self.agg_stranded = agg_stranded
+        self.stc = stc
+        self.std = std
+        self.dram_ps = dram_ps
+
+    def tick(self, shard: int, k_now: int, p: int) -> None:
+        stats = self.stats[shard]
+        stats.n_ticks += 1
+        flagged = self.flagged[shard]
+        payload = self.payload
+        cand_k = self.cand_k[shard]
+        start = self.cursor[shard]
+        end = bisect_left(cand_k, k_now, start)
+        for k, info in zip(cand_k[start:end], self.cand_info[shard][start:end]):
+            if payload[k] is not None:
+                flagged[k] = info
+        self.cursor[shard] = end
+        for k in [k for k in flagged if flagged[k][1] < p]:
+            del flagged[k]  # departed (departure rank before the pointer)
+        if not flagged:
+            return
+        stats.n_checks += len(flagged)
+        node_gb = self.node_gb
+        used_gb_srv = self.used_gb_srv
+        pool_used = self.pool_used
+        stc = self.stc
+        std = self.std
+        gb_limit = self.dram_ps + 1e-9
+        for k in list(flagged):
+            ds, sidx, pos, cores, local_gb, pool_gb = payload[k]
+            if node_gb[pos] + pool_gb > gb_limit:
+                # No node headroom right now; retried next tick.
+                stats.n_failed_mitigations += 1
+                continue
+            group = self.group_of[sidx]
+            remaining_gb = pool_used[group] - pool_gb
+            if remaining_gb < 0.0:
+                if remaining_gb < -1e-6:
+                    raise RuntimeError(
+                        f"pool group {group} accounting went negative "
+                        f"({remaining_gb} GB) -- simulator bug"
+                    )
+                remaining_gb = 0.0
+            pool_used[group] = remaining_gb
+            self.pool_free[group] += pool_gb
+            self.pool_used_srv[sidx] -= pool_gb
+            cores_now = self.used_cores_srv[sidx]
+            old_gb = used_gb_srv[sidx]
+            node_gb[pos] += pool_gb
+            new_gb = old_gb + pool_gb
+            used_gb_srv[sidx] = new_gb
+            if new_gb > self.peak_local[sidx]:
+                self.peak_local[sidx] = new_gb
+            self.agg_gb[ds] += pool_gb
+            if cores_now >= stc:
+                self.agg_stranded[ds] += (std - new_gb) - (std - old_gb)
+            else:
+                bucket = self.buckets_l[ds][stc - cores_now]
+                del bucket[bisect_left(bucket, (std - old_gb, sidx))]
+                insort(bucket, (std - new_gb, sidx))
+            payload[k] = (ds, sidx, pos, cores, local_gb + pool_gb, 0.0)
+            stats.n_mitigations += 1
+            stats.migrated_gb += pool_gb
+            stats.migration_time_s += self.cost_per_gb * pool_gb
+            stats.mitigated_vm_ids.append(flagged.pop(k)[0])
+
+
+def _merged_column(column: np.ndarray, order: np.ndarray, sentinel) -> list:
+    """``column[order]`` plus a trailing sentinel, as a list (built at its
+    final size: growing a long list reallocates it)."""
+    out = np.empty(order.shape[0] + 1, dtype=column.dtype)
+    np.take(column, order, out=out[:-1])
+    out[-1] = sentinel
+    return out.tolist()
 
 
 def _replay_crossshard_inlined(
@@ -918,6 +1072,7 @@ def _replay_crossshard_inlined(
     constrain_memory: bool,
     sample_interval_s: float,
     record_placements: bool = False,
+    online: Optional[OnlineControlConfig] = None,
     pool_gb: Optional[Sequence[Optional[np.ndarray]]] = None,
     horizon_s: Optional[float] = None,
 ) -> Tuple[List[SimulationResult], PoolGroupLedger]:
@@ -955,7 +1110,21 @@ def _replay_crossshard_inlined(
       order at each tick, exactly the heap's tie-break); horizons (at
       ``horizon_s`` when given, else at the shard's last arrival) activate
       when their shard's last arrival is processed, matching the heap push,
-      and wait in a tiny heap of their own whose min is cached in a local;
+      and wait in a tiny heap of their own whose min is cached in a local.
+      One pump fires them: the fast path handles arrivals preceded only by
+      departures, the tick pump everything else, and an end sentinel
+      arrival at ``inf`` drains the rest through the tick pump (its break
+      test keeps the sentinel from sampling at ``t = inf``);
+    * **online QoS tick** (``online=...``, DESIGN.md section 10): at each
+      grid tick every alive shard samples, then runs its QoS tick
+      (:class:`_QosTick`) -- sample (s) -> tick (s), in shard order, the
+      events loop's heap order.  Horizon samples never tick.  The arrival
+      and departure loops carry no online work, so a replay with mitigation
+      off (or ``online=None``) runs exactly the static loop; the tick reads
+      the drain pointer and the current arrival position to rebuild each
+      shard's live at-risk set;
+    * **sanitizer hook**: with ``REPRO_SANITIZE`` on, the ledger is checked
+      at every grid tick (:data:`_grid_tick_check`);
     * the per-event arithmetic is statement-for-statement
       :meth:`ArrayPlacementEngine.place` / ``remove``, with two cuts.
       **Full-server elision**: the best-fit walk starts at ``free >= cores
@@ -972,7 +1141,8 @@ def _replay_crossshard_inlined(
       results are unchanged.
 
     Byte-identical to the events loop by construction and pinned by the
-    differential suite in ``tests/test_pool_topology.py``.
+    differential suites in ``tests/test_pool_topology.py`` (static and
+    online).
     """
     n_shards = len(inputs)
     use_pool = bool(topology.n_groups)
@@ -1041,6 +1211,10 @@ def _replay_crossshard_inlined(
     total_pool = [0.0] * n_shards
     placed_ids: List[List[str]] = [[] for _ in range(n_shards)]
     placed_srv: List[List[int]] = [[] for _ in range(n_shards)]
+    if online is not None:
+        for res in results:
+            res.online_stats = OnlineControlStats()
+    mitigate = online is not None and online.mitigation_enabled
 
     # -- merged arrival order and global presorted departures ----------------
     arr_parts = []
@@ -1048,6 +1222,7 @@ def _replay_crossshard_inlined(
     cores_parts = []
     mem_parts = []
     alloc_parts = []
+    risky_parts = []
     shard_parts = []
     pos_parts = []
     vm_ids_by_shard: List[Sequence[str]] = []
@@ -1074,6 +1249,11 @@ def _replay_crossshard_inlined(
         cores_parts.append(columns.cores)
         mem_parts.append(columns.memory_gb)
         alloc_parts.append(np.asarray(allocations, dtype=np.float64))
+        if mitigate:
+            # The events loop's per-block estimate (one block here).
+            risky_parts.append(at_risk_mask(estimate_slowdown_batch(
+                policies[shard], block, alloc_parts[-1]), alloc_parts[-1],
+                online.qos_threshold_percent) if n_s else np.zeros(0, bool))
         shard_parts.append(np.full(n_s, shard, dtype=np.int64))
         pos_parts.append(np.arange(n_s, dtype=np.int64))
         vm_ids_by_shard.append(columns.vm_ids)
@@ -1089,11 +1269,16 @@ def _replay_crossshard_inlined(
     # shard, so equal arrivals tie-break by shard and, within a shard, by
     # stream order -- which lexsort's stability preserves.
     order = np.lexsort((shard_all, arrival_all))
-    m_arr = arrival_all[order].tolist()
-    m_shard = shard_all[order].tolist()
-    m_cores = np.concatenate(cores_parts)[order].tolist()
-    m_mem = np.concatenate(mem_parts)[order].tolist()
-    m_alloc = np.concatenate(alloc_parts)[order].tolist()
+    # The arrival columns end in a sentinel: an arrival at ``inf`` pumps
+    # every remaining event through the tick pump (the dispatcher
+    # guarantees real arrivals are finite), then leaves the loop before
+    # placing anything.
+    inf = float("inf")
+    m_arr = _merged_column(arrival_all, order, inf)
+    m_shard = _merged_column(shard_all, order, 0)
+    m_cores = _merged_column(np.concatenate(cores_parts), order, 0)
+    m_mem = _merged_column(np.concatenate(mem_parts), order, 0.0)
+    m_alloc = _merged_column(np.concatenate(alloc_parts), order, 0.0)
     m_pos = np.concatenate(pos_parts)[order].tolist() if record_placements else None
     dep_merged = np.concatenate(dep_parts)[order]
     # Ties in departure time resolve by merged position == global placement
@@ -1102,7 +1287,7 @@ def _replay_crossshard_inlined(
     dep_sort = np.argsort(dep_merged, kind="stable")
     dep_order = dep_sort.tolist()
     dep_times = dep_merged[dep_sort].tolist()
-    n_total = len(m_arr)
+    n_total = len(order)
     #: Reused walk ranges (one allocation per distinct core count, not
     #: one per placement); indices past the last bucket walk nothing.
     max_cr = int(max(m_cores)) if n_total else 0
@@ -1112,13 +1297,27 @@ def _replay_crossshard_inlined(
     payload: List[Optional[Tuple[int, int, int, int, float, float]]] = (
         [None] * n_total
     )
+    qos_tick = None
+    if mitigate:
+        qos_tick = _QosTick(
+            online, results, np.concatenate(risky_parts), order,
+            vm_ids_by_shard, dep_sort, payload,
+            node_gb, used_cores_srv, used_gb_srv, pool_used_srv, peak_local,
+            pool_used, pool_free, group_of, buckets_l, agg_gb, agg_stranded,
+            stc, std, dram_ps,
+        ).tick
+    # Only the lists above are read from here on: drop the setup arrays and
+    # the last shard's allocation list before the replay's peak.
+    del (alloc_parts, shard_parts, pos_parts, risky_parts, arrival_all,
+         shard_all, order, dep_merged, dep_sort, allocations)
+    #: Sanitizer hook (``repro.analysis.sanitizer``), checked per grid tick.
+    tick_check = _grid_tick_check
 
     bisect = bisect_left
     bisect_r = bisect_right
     insort_ = insort
     heappush = heapq.heappush
     heappop = heapq.heappop
-    inf = float("inf")
 
     n_dep = n_total
     p = 0
@@ -1273,11 +1472,14 @@ def _replay_crossshard_inlined(
                                 agg_running[ds] -= 1
                             p = end
                             next_dep = dep_times[p] if p < n_dep else inf
-                        if nxt_t > arrival_s:
-                            break
+                        if nxt_t > arrival_s or nxt_t == inf:
+                            break  # (the end sentinel never samples at inf)
                         if fire_sample:
-                            # Grid tick: alive shards sample in shard order (the
-                            # heap's tie-break for equal-time sample events).
+                            # Grid tick: alive shards sample, then QoS-tick,
+                            # in shard order (the heap's tie-break for
+                            # equal-time sample events; a spanning group's
+                            # mitigation in one shard shows in the next
+                            # shard's sample).
                             for gs in range(n_shards):
                                 if alive[gs]:
                                     stranded = agg_stranded[gs]
@@ -1297,6 +1499,11 @@ def _replay_crossshard_inlined(
                                         agg_running[gs],
                                     ))
                                     last_sample[gs] = t_s
+                                    if qos_tick is not None:
+                                        qos_tick(gs, k, p)
+                            if tick_check is not None:
+                                tick_check(ledger.capacity_gb, pool_free,
+                                           pool_used)
                             next_sample_time = t_s + sample_interval_s
                             t_s = next_sample_time
                         else:
@@ -1327,6 +1534,8 @@ def _replay_crossshard_inlined(
                             n_alive -= 1
                             if not n_alive:
                                 t_s = inf
+                    if arrival_s == inf:
+                        break  # end sentinel: every event has fired
                     nxt = t_s if t_s <= t_h else t_h
                     next_event = next_dep if next_dep <= nxt else nxt
 
@@ -1475,104 +1684,6 @@ def _replay_crossshard_inlined(
                     t_h = h
                 if h < next_event:
                     next_event = h
-
-        # -- drain: remaining grid samples, horizons, departures -------------
-        while True:
-            fire_sample = t_s <= t_h
-            nxt_t = t_s if fire_sample else t_h
-            if next_dep <= nxt_t:
-                end = bisect_r(dep_times, nxt_t, p) if nxt_t != inf else n_dep
-                for m in dep_order[p:end]:
-                    entry = payload[m]
-                    if entry is None:
-                        continue
-                    ds, sidx, pos, d_cores, d_local, d_pool = entry
-                    if d_pool:
-                        group = group_of[sidx]
-                        remaining_gb = pool_used[group] - d_pool
-                        if remaining_gb < 0.0:
-                            if remaining_gb < -1e-6:
-                                raise RuntimeError(
-                                    f"pool group {group} accounting went "
-                                    f"negative ({remaining_gb} GB) -- "
-                                    f"simulator bug"
-                                )
-                            remaining_gb = 0.0
-                        pool_used[group] = remaining_gb
-                        pool_free[group] += d_pool
-                        pool_used_srv[sidx] -= d_pool
-                    before_cores = used_cores_srv[sidx]
-                    old_gb = used_gb_srv[sidx]
-                    node_cores[pos] -= d_cores
-                    node_gb[pos] -= d_local
-                    new_cores = before_cores - d_cores
-                    used_cores_srv[sidx] = new_cores
-                    new_gb = old_gb - d_local
-                    used_gb_srv[sidx] = new_gb
-                    agg_cores[ds] -= d_cores
-                    agg_gb[ds] -= d_local
-                    buckets = buckets_l[ds]
-                    if before_cores >= stc:
-                        agg_stranded[ds] += 0.0 - (std - old_gb)
-                    else:
-                        bucket = buckets[stc - before_cores]
-                        del bucket[bisect(bucket, (std - old_gb, sidx))]
-                    insort_(buckets[stc - new_cores], (std - new_gb, sidx))
-                    agg_running[ds] -= 1
-                p = end
-                next_dep = dep_times[p] if p < n_dep else inf
-            if nxt_t == inf:
-                break
-            if fire_sample:
-                for gs in range(n_shards):
-                    if alive[gs]:
-                        stranded = agg_stranded[gs]
-                        if stranded < 0.0:
-                            stranded = 0.0
-                        used_pool_gb = 0.0
-                        for g in shard_groups[gs]:
-                            used_pool_gb += pool_used[g]
-                        append_rows[gs]((
-                            t_s,
-                            agg_cores[gs] / total_cores[gs],
-                            100.0 * agg_cores[gs] / total_cores[gs],
-                            agg_gb[gs],
-                            used_pool_gb,
-                            stranded,
-                            100.0 * stranded / total_dram[gs],
-                            agg_running[gs],
-                        ))
-                        last_sample[gs] = t_s
-                next_sample_time = t_s + sample_interval_s
-                t_s = next_sample_time
-            else:
-                h, hs = heappop(hor_heap)
-                t_h = hor_heap[0][0] if hor_heap else inf
-                ls = last_sample[hs]
-                if ls is None or ls <= h:
-                    if ls == h:
-                        results[hs].sample_buffer.drop_last()
-                    stranded = agg_stranded[hs]
-                    if stranded < 0.0:
-                        stranded = 0.0
-                    used_pool_gb = 0.0
-                    for g in shard_groups[hs]:
-                        used_pool_gb += pool_used[g]
-                    append_rows[hs]((
-                        h,
-                        agg_cores[hs] / total_cores[hs],
-                        100.0 * agg_cores[hs] / total_cores[hs],
-                        agg_gb[hs],
-                        used_pool_gb,
-                        stranded,
-                        100.0 * stranded / total_dram[hs],
-                        agg_running[hs],
-                    ))
-                    last_sample[hs] = h
-                alive[hs] = False
-                n_alive -= 1
-                if not n_alive:
-                    t_s = inf
     finally:
         if gc_was_enabled:
             gc.enable()

@@ -544,6 +544,8 @@ class ClusterSimulator:
         only): after every grid sample a QoS tick scans live pool-exposed
         VMs whose estimated slowdown exceeds the configured threshold and
         migrates their pool share to local DRAM (see DESIGN.md section 10).
+        A materialised trace replays it on the inlined loop (degenerate
+        lifetimes and zero-core VMs excepted), a stream on the event loop.
         With mitigation disabled (``qos_threshold_percent=inf``) the result
         is byte-identical to the static replay.
 
@@ -551,9 +553,9 @@ class ClusterSimulator:
         engine only): a :class:`~repro.cluster.faults.FaultSchedule` fires
         timed fail/repair events for pool groups inside the merged event
         stream, degrading the group ledger and running the degradation
-        ladder over affected VMs (DESIGN.md section 11).  With an empty
-        schedule the replay is byte-identical to the static replay
-        (differential-tested); impact accounting lands on
+        ladder over affected VMs (DESIGN.md section 11).  An empty schedule
+        replays a materialised trace on the inlined loop, byte-identical to
+        the static replay (differential-tested); impact accounting lands on
         ``result.fault_stats``.
         """
         static = online is None and faults is None
@@ -736,9 +738,10 @@ class ClusterSimulator:
 
         The cluster is a :meth:`PoolTopology.per_shard` topology with one
         shard (group-less when ``pool_size_sockets == 0``), replayed by the
-        cross-shard dispatcher: the inlined loop for static materialised
-        traces, the engine-method event loop for everything else (online,
-        faulted, degenerate lifetimes or zero-core VMs).  A one-shard
+        cross-shard dispatcher: the inlined loop for materialised traces,
+        static or online, with no fault events; the engine-method event loop
+        for everything else (fault events, streams, degenerate lifetimes or
+        zero-core VMs).  A one-shard
         replay's event order and arithmetic are exactly the object path's,
         so results are byte-identical to ``engine="object"``.
         """

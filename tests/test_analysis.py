@@ -12,11 +12,12 @@ Lock-down for the project-specific static analysis (DESIGN.md section 12):
 * **Pickle safety**: hazardous attributes on pool-boundary classes are
   flagged through the static closure; ``__getstate__`` classes are
   trusted; the real source tree is clean.
-* **Contracts**: the real events loop satisfies the documented event
-  ordering, and fixture pumps with a planted ordering violation fail with
-  that violation's rule code.
+* **Contracts**: the real events loop and inlined core satisfy the
+  documented event ordering, and fixture pumps and grid-tick blocks with a
+  planted ordering violation fail with that violation's rule code.
 * **Sanitizer**: deliberately corrupted engine/ledger state trips the
-  ``REPRO_SANITIZE`` invariants; clean replay sequences do not.
+  ``REPRO_SANITIZE`` invariants -- on the engine methods and at the
+  inlined core's grid ticks; clean replay sequences do not.
 """
 
 import json
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.contracts import check_contracts, check_pump
+from repro.analysis.contracts import check_contracts, check_core, check_pump
 from repro.analysis.det_rules import lint_source
 from repro.analysis.findings import (
     Finding,
@@ -419,6 +420,57 @@ class TestContracts:
         fixture = self.pump_fixture(tmp_path, dep=0, fault=2, sample=1)
         assert "ORD005" in rules_of(check_pump(fixture))
 
+    CORE_TEMPLATE = """\
+        def _replay_crossshard_inlined():
+            for s, arrival_s in zip(m_shard, m_arr):
+                if fire_sample:
+                    for gs in range(n_shards):
+                        if alive[gs]:
+                            {grid_body}
+                    {after_grid}
+        """
+
+    GRID_BODY = (
+        "append_rows[gs]((t_s, agg_cores[gs]))",
+        "last_sample[gs] = t_s",
+        "if qos_tick is not None:",
+        "    qos_tick(gs, k, p)",
+    )
+
+    def core_fixture(self, tmp_path, grid_body=GRID_BODY, after_grid="pass"):
+        body = ("\n" + " " * 28).join(grid_body)
+        after = ("\n" + " " * 20).join(after_grid.splitlines())
+        fixture = tmp_path / "core.py"
+        fixture.write_text(textwrap.dedent(self.CORE_TEMPLATE.format(
+            grid_body=body, after_grid=after)))
+        return fixture
+
+    def test_core_fixture_passes(self, tmp_path):
+        assert check_core(self.core_fixture(tmp_path)) == []
+        assert check_core(self.POOL_TOPOLOGY) == []
+
+    def test_core_qos_tick_before_sample_fails(self, tmp_path):
+        fixture = self.core_fixture(tmp_path, grid_body=(
+            "if qos_tick is not None:",
+            "    qos_tick(gs, k, p)",
+            "append_rows[gs]((t_s, agg_cores[gs]))",
+            "last_sample[gs] = t_s",
+        ))
+        assert rules_of(check_core(fixture)) == ["ORD004"]
+
+    def test_core_all_samples_then_all_ticks_fails(self, tmp_path):
+        """Ticking in a second shard loop, after every shard sampled."""
+        fixture = self.core_fixture(
+            tmp_path, grid_body=self.GRID_BODY[:2],
+            after_grid="for gs in range(n_shards):\n    qos_tick(gs, k, p)")
+        assert rules_of(check_core(fixture)) == ["ORD004"]
+
+    def test_core_missing_anchor_fails_loudly(self, tmp_path):
+        fixture = self.pump_fixture(tmp_path)
+        assert rules_of(check_core(fixture)) == ["ORD001"]
+        no_grid = self.core_fixture(tmp_path, grid_body=("pass",))
+        assert rules_of(check_core(no_grid)) == ["ORD001"]
+
 
 @pytest.fixture
 def sanitized():
@@ -435,6 +487,17 @@ def make_engine(pool_capacity=100.0):
     return ArrayPlacementEngine(
         2, config, group_of=[0, 0], pool_free_gb={0: pool_capacity},
     )
+
+
+def small_trace():
+    """Six overlapping 2-core VMs, one every 10 minutes."""
+    from repro.cluster.trace import ClusterTrace, VMTraceRecord
+
+    return ClusterTrace([
+        VMTraceRecord(vm_id=f"vm-{i}", cluster_id="san", arrival_s=600.0 * i,
+                      lifetime_s=5000.0, cores=2, memory_gb=8.0)
+        for i in range(6)
+    ])
 
 
 class TestSanitizer:
@@ -493,6 +556,42 @@ class TestSanitizer:
         ledger.degrade(0, 1.0)  # total group loss: capacity pinned to 0
         engine.remove(handle)  # unmediated free += on the dead group
         ledger.resync(0)
+
+    def test_unbalanced_ledger_trips_at_inlined_grid_tick(self, sanitized,
+                                                          monkeypatch):
+        """A ledger out of balance before the replay starts: the inlined
+        core calls no engine method, so only its grid-tick check sees it."""
+        from repro.cluster.pool_topology import PoolTopology, replay_crossshard
+
+        build = PoolGroupLedger.for_topology
+
+        def unbalanced(cls, topology, capacity):
+            ledger = build(topology, capacity)
+            ledger.free_gb[0] += 7.0  # free credited, no used debit
+            return ledger
+
+        monkeypatch.setattr(PoolGroupLedger, "for_topology",
+                            classmethod(unbalanced))
+        trace = small_trace()
+        topology = PoolTopology.per_shard([2], 2, 4)
+        args = ([trace], [lambda record: 2.0], [2], [ServerConfig()],
+                topology, 100.0, True, 1800.0)
+        with pytest.raises(sanitizer.SanitizerError, match="drifted"):
+            replay_crossshard(*args)
+        sanitizer.uninstall()
+        replay_crossshard(*args)  # the check is the sanitizer's alone
+
+    def test_clean_inlined_replay_passes(self, sanitized):
+        from repro.cluster.pool_topology import PoolTopology, replay_crossshard
+        from repro.core.control_plane.online import OnlineControlConfig
+
+        trace = small_trace()
+        results, ledger = replay_crossshard(
+            [trace], [lambda record: 6.0], [2], [ServerConfig()],
+            PoolTopology.per_shard([2], 2, 4), 100.0, True, 1800.0,
+            online=OnlineControlConfig(qos_threshold_percent=1.0))
+        assert results[0].online_stats.n_mitigations > 0
+        assert ledger.used_gb == {0: 0.0}
 
     def test_uninstall_restores(self):
         sanitizer.install()

@@ -2,10 +2,12 @@
 
 Lock-down for the ``faults=FaultSchedule(...)`` replay stage:
 
-* **Differential**: an empty schedule routes the replay through the
-  fault-aware loop but must stay byte-identical to the static replay --
-  on the single-cluster array engine, composed with the online control
-  loop, and through the cross-shard pump on both topologies.
+* **Differential**: an empty schedule must stay byte-identical to the
+  static replay -- on the single-cluster array engine, composed with the
+  online control loop, and through the cross-shard pump on both
+  topologies.  (Materialised traces with an empty schedule take the
+  inlined core; ``tests/test_pool_topology.py`` pins the fault-aware
+  events loop to it.)
 * **Determinism**: seeded schedules replay bit-identically across
   process-pool vs serial fleet fan-out (``as_dict`` canonical forms).
 * **Degradation ladder**: pool-to-local first, live migration second,
@@ -271,7 +273,7 @@ class TestLedgerDegradation:
 
 
 class TestEmptyScheduleByteIdentity:
-    """An empty schedule activates the fault-aware loop; output must not move."""
+    """An empty schedule fires nothing; output must not move."""
 
     def test_single_cluster(self, trace, policy):
         static = make_simulator().run(trace, policy)

@@ -13,6 +13,7 @@ The load-bearing guarantees:
 import numpy as np
 import pytest
 
+from repro.cluster.faults import FaultImpactStats, FaultSchedule
 from repro.cluster.fleet import (
     FleetSimulator,
     PoolTopology,
@@ -20,11 +21,18 @@ from repro.cluster.fleet import (
     static_policy_factory,
 )
 from repro.cluster.pool import FixedFractionPolicy
-from repro.cluster.pool_topology import PoolGroupLedger, replay_crossshard
+from repro.cluster.pool_topology import (
+    PoolGroupLedger,
+    _replay_crossshard,
+    _replay_crossshard_events,
+    replay_crossshard,
+)
 from repro.cluster.server import ServerConfig
 from repro.cluster.simulator import ClusterSimulator
 from repro.cluster.trace import ClusterTrace, VMTraceRecord
-from repro.cluster.tracegen import TraceGenConfig
+from repro.cluster.tracegen import TraceGenConfig, TraceGenerator
+from repro.core.control_plane.online import OnlineControlConfig
+from repro.core.policies import PredictionPolicy
 from repro.core.prediction.combined import CombinedOperatingPoint
 
 OPERATING_POINT = CombinedOperatingPoint(
@@ -461,3 +469,201 @@ class TestInlinedLoopDifferential:
             cfgs, topo, 120.0, False, 3600.0,
         )
         assert sum(r.placed_vms for r in results) > 0
+
+
+# -- online QoS on the inlined core ---------------------------------------------------
+
+#: ``OnlineControlConfig`` rejects a threshold of 0; the smallest positive
+#: float flags every pool-exposed VM with a positive slowdown estimate.
+THRESHOLD_ZERO = 5e-324
+
+
+def _assert_online_identical(a_out, b_out):
+    """``_assert_identical`` plus every ``OnlineControlStats`` field."""
+    TestInlinedLoopDifferential._assert_identical(a_out, b_out)
+    for x, y in zip(a_out[0], b_out[0]):
+        assert vars(x.online_stats) == vars(y.online_stats)
+
+
+class TestOnlineCoreDifferential:
+    """Online replays on the inlined core == the events loop, byte for byte.
+
+    The dispatcher routes ``online=...`` replays to
+    ``_replay_crossshard_inlined`` whenever the static fast path qualifies;
+    ``_replay_crossshard_events`` stays the reference.  Both must agree on
+    everything the static differential checks plus every
+    ``OnlineControlStats`` field, with ``mitigated_vm_ids`` in order.  The
+    fast side calls the dispatcher ``_replay_crossshard`` (what
+    ``replay_crossshard`` runs), which also takes ``pool_gb`` and
+    ``horizon_s``.
+    """
+
+    SIZES = [6, 8, 5]
+
+    @pytest.fixture(scope="class")
+    def policy(self):
+        return PredictionPolicy.train(seed=3)
+
+    @pytest.fixture(scope="class")
+    def shard_traces(self):
+        return [
+            TraceGenerator(base_config(
+                cluster_id=f"onl-{s}", n_servers=n, duration_days=0.6,
+                target_core_utilization=0.93, seed=40 + s)).generate()
+            for s, n in enumerate(self.SIZES)
+        ]
+
+    def _both(self, traces, policy, topo, capacity, constrain, online,
+              configs=None, **extra):
+        configs = configs or [ServerConfig()] * len(self.SIZES)
+        args = (traces, [policy] * len(self.SIZES), self.SIZES, configs,
+                topo, capacity, constrain, 1800.0)
+        return (
+            _replay_crossshard(*args, record_placements=True, online=online,
+                               **extra),
+            _replay_crossshard_events(*args, record_placements=True,
+                                      online=online, **extra),
+        )
+
+    @pytest.mark.parametrize("topo_name", ["per_shard", "spanning"])
+    @pytest.mark.parametrize("constrain,capacity",
+                             [(False, float("inf")), (True, 150.0)])
+    @pytest.mark.parametrize("threshold",
+                             [THRESHOLD_ZERO, 5.0, float("inf")])
+    def test_byte_identical(self, shard_traces, policy, topo_name,
+                            constrain, capacity, threshold):
+        topo = getattr(PoolTopology, topo_name)(self.SIZES, 2, 16)
+        online = OnlineControlConfig(qos_threshold_percent=threshold)
+        fast, reference = self._both(shard_traces, policy, topo, capacity,
+                                     constrain, online)
+        _assert_online_identical(fast, reference)
+        mitigations = sum(r.online_stats.n_mitigations for r in fast[0])
+        assert (mitigations > 0) == (threshold != float("inf"))
+
+    @pytest.mark.parametrize("topo_name", ["per_shard", "spanning"])
+    def test_horizon_and_precomputed_pool_gb(self, shard_traces, policy,
+                                             topo_name):
+        topo = getattr(PoolTopology, topo_name)(self.SIZES, 2, 16)
+        pool_gb = [0.9 * policy.decide_batch(t) for t in shard_traces]
+        last = min(float(t.columns().arrival_s[-1]) for t in shard_traces)
+        fast, reference = self._both(
+            shard_traces, policy, topo, 200.0, False,
+            OnlineControlConfig(qos_threshold_percent=5.0),
+            pool_gb=pool_gb, horizon_s=0.7 * last)
+        _assert_online_identical(fast, reference)
+        assert sum(r.online_stats.n_mitigations for r in fast[0]) > 0
+
+    @pytest.mark.parametrize("topo_name", ["per_shard", "spanning"])
+    def test_empty_fault_schedule(self, shard_traces, policy, topo_name):
+        """An empty schedule on the events loop (its fault-aware branches
+        live) == the inlined core, stats included."""
+        topo = getattr(PoolTopology, topo_name)(self.SIZES, 2, 16)
+        fast, reference = self._both(
+            shard_traces, policy, topo, 150.0, True,
+            OnlineControlConfig(qos_threshold_percent=5.0),
+            faults=FaultSchedule())
+        _assert_online_identical(fast, reference)
+        for x, y in zip(fast[0], reference[0]):
+            assert x.fault_stats.as_dict() == y.fault_stats.as_dict()
+
+    @pytest.mark.parametrize("topo_name", ["per_shard", "spanning"])
+    def test_headroom_starved(self, policy, topo_name):
+        """Mitigations that do not fit fail, are counted and retried."""
+        cramped = ServerConfig(name="cramped", sockets=2,
+                               cores_per_socket=24, dram_per_socket_gb=48.0)
+        traces = [
+            TraceGenerator(base_config(
+                cluster_id=f"cramped-{s}", n_servers=n, duration_days=0.6,
+                target_core_utilization=0.95, seed=13 + s,
+                server_config=cramped)).generate()
+            for s, n in enumerate(self.SIZES)
+        ]
+        topo = getattr(PoolTopology, topo_name)(self.SIZES, 2, 8)
+        fast, reference = self._both(
+            traces, policy, topo, float("inf"), True,
+            OnlineControlConfig(qos_threshold_percent=1.0),
+            configs=[cramped] * len(self.SIZES))
+        _assert_online_identical(fast, reference)
+        assert sum(r.online_stats.n_failed_mitigations for r in fast[0]) > 0
+        assert sum(r.online_stats.n_mitigations for r in fast[0]) > 0
+
+
+def _spy_loops(monkeypatch):
+    """Record which cross-shard loop each replay takes."""
+    import repro.cluster.pool_topology as pt
+    calls = []
+    for name in ("_replay_crossshard_inlined", "_replay_crossshard_events"):
+        def spy(*args, _loop=getattr(pt, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _loop(*args, **kwargs)
+        monkeypatch.setattr(pt, name, spy)
+    return calls
+
+
+class TestDispatcherRouting:
+    """Which loop each replay mode takes (the fast path must be reached)."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return TraceGenerator(base_config(cluster_id="route")).generate()
+
+    @staticmethod
+    def _simulator():
+        return ClusterSimulator(6, pool_size_sockets=8,
+                                constrain_memory=False)
+
+    def test_online_single_cluster_and_fleet_take_inlined(self, trace,
+                                                          monkeypatch):
+        online = OnlineControlConfig(qos_threshold_percent=5.0)
+        calls = _spy_loops(monkeypatch)
+        self._simulator().run(trace, FixedFractionPolicy(0.5), online=online)
+        assert calls == ["_replay_crossshard_inlined"]
+        calls.clear()
+        fleet = FleetSimulator.sharded(
+            2, base_config(cluster_id="route-fleet"), pool_size_sockets=8)
+        fleet.run(static_policy_factory(fraction=0.5), online=online,
+                  compute_baseline=False)
+        assert calls == ["_replay_crossshard_inlined"] * 2
+        calls.clear()
+        topo = PoolTopology.spanning([6, 6], 2, 16)
+        replay_crossshard([trace, trace], [FixedFractionPolicy(0.5)] * 2,
+                          [6, 6], [ServerConfig()] * 2, topo, 500.0, True,
+                          3600.0, online=online)
+        assert calls == ["_replay_crossshard_inlined"]
+
+    def test_online_fallbacks_take_events_loop(self, trace, monkeypatch):
+        """Streams, mixed SKUs and fault events keep the events loop."""
+        online = OnlineControlConfig(qos_threshold_percent=5.0)
+        calls = _spy_loops(monkeypatch)
+        self._simulator().run(trace.stream(chunk_size=64),
+                              FixedFractionPolicy(0.5), online=online)
+        replay_crossshard(
+            [trace, trace], [FixedFractionPolicy(0.5)] * 2, [6, 6],
+            [ServerConfig(), ServerConfig(name="fat",
+                                          dram_per_socket_gb=512.0)],
+            PoolTopology.spanning([6, 6], 2, 16), 500.0, True, 3600.0,
+            online=online)
+        self._simulator().run(trace, FixedFractionPolicy(0.5), online=online,
+                              faults=self._seeded())
+        assert calls == ["_replay_crossshard_events"] * 3
+
+    @staticmethod
+    def _seeded():
+        seeded = FaultSchedule.seeded(
+            groups=[0], horizon_s=86400.0,
+            mean_time_between_failures_s=4 * 3600.0,
+            repair_delay_s=1800.0, seed=7)
+        assert len(seeded)
+        return seeded
+
+    def test_empty_schedule_takes_inlined_seeded_takes_events(
+            self, trace, monkeypatch):
+        calls = _spy_loops(monkeypatch)
+        empty = self._simulator().run(trace, FixedFractionPolicy(0.5),
+                                      faults=FaultSchedule())
+        assert calls == ["_replay_crossshard_inlined"]
+        assert empty.fault_stats == FaultImpactStats()
+        calls.clear()
+        self._simulator().run(trace, FixedFractionPolicy(0.5),
+                              faults=self._seeded())
+        assert calls == ["_replay_crossshard_events"]
